@@ -1,28 +1,5 @@
-"""Kernel backend selection.
+# The package has one kernel module.  These two names stay for callers of
+# `_backend.kernels` and for `changekit.BACKEND`, which reports it.
+from . import _kernels_py as kernels
 
-The compiled Cython extension is preferred; the pure-Python/numpy module
-is the fallback.  ``CHANGEKIT_BACKEND=python`` (or ``compiled``) forces a
-choice, which the benchmark suite uses to compare the two.
-"""
-import os
-
-_requested = os.environ.get("CHANGEKIT_BACKEND", "auto").lower()
-
-if _requested not in ("auto", "compiled", "python"):
-    raise ImportError(f"CHANGEKIT_BACKEND must be 'compiled' or 'python', got {_requested!r}")
-
-if _requested == "python":
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        if _requested == "compiled":
-            raise
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-        BACKEND = "python"
+BACKEND = "python"

@@ -1,9 +1,7 @@
-"""Pure-Python/numpy evaluation kernels.
+"""The evaluation kernels of both families, in pure Python and numpy.
 
-Fallback implementation of the contract provided by the compiled
-``_kernels`` extension; selected at import time by ``_backend`` when the
-extension is missing.  Scalar paths use ``math`` (same libm calls as the
-C loops), batch paths use vectorized numpy.
+Scalar paths use ``math``; batch paths use vectorized numpy and write into
+a caller-supplied ``out`` array.  Non-finite results are left to the callers.
 """
 import math
 

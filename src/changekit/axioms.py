@@ -122,7 +122,7 @@ class Indicator:
 def _kernel_batch(many_fn, lam: float):
     def batch(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         out = np.empty(len(xs))
-        many_fn(lam, np.ascontiguousarray(xs), np.ascontiguousarray(ys), out)
+        many_fn(lam, xs, ys, out)
         return out
 
     return batch

@@ -437,8 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the randomized axiom checks")
     p_ver.add_argument("--target", choices=sorted(_VERIFY_PLAN), required=True)
     add_lambda(p_ver)
-    p_ver.add_argument("--seed", type=int,
-                       default=int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)))
+    # A string default goes through type=int only when verify runs, so a bad
+    # environment value is a usage error of verify alone.
+    p_ver.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED)),
+                       help=f"sampling seed (default: ${SEED_ENV_VAR}, else {DEFAULT_SEED})")
     p_ver.add_argument("--samples", type=int, default=10_000)
     p_ver.set_defaults(handler=_cmd_verify)
 

@@ -3,15 +3,16 @@
 The family ``eval_f`` interpolates absolute change (lam = 0) and relative
 change (lam = 1).  The family ``eval_F`` is its antisymmetric, additive
 counterpart, interpolating absolute change (lam = 0) and the log-ratio
-(lam = 1).  Both endpoints are special-cased in the kernels so the
-generalization claims hold bitwise, not just approximately.
+(lam = 1).  Both endpoints are special-cased in the kernel module so the
+generalization claims hold bitwise, not just approximately.  A result that
+is not finite raises NumericalError instead of being returned.
 """
 from __future__ import annotations
 
 import math
 
 from ._backend import kernels
-from .errors import DomainError, StagnantPairError
+from .errors import DomainError, NumericalError, StagnantPairError
 from .types import PositivePair, check_lambda
 
 
@@ -36,7 +37,11 @@ def eval_f(lam: float, p: PositivePair) -> float:
     lam = 0 returns abs_change bitwise, lam = 1 returns rel_change bitwise.
     The result carries the (documented, not computed) unit u**(1 - lam).
     """
-    return kernels.f_scalar(check_lambda(lam), p.x, p.y)
+    lam = check_lambda(lam)
+    value = kernels.f_scalar(lam, p.x, p.y)
+    if not math.isfinite(value):
+        raise NumericalError(f"f[{lam:.4g}]({p.x!r}, {p.y!r}) is not finite: {value!r}")
+    return value
 
 
 def eval_F(lam: float, p: PositivePair) -> float:
@@ -46,7 +51,11 @@ def eval_F(lam: float, p: PositivePair) -> float:
     ~1e-12) across lam -> 1 without a switching threshold; lam = 0 returns
     abs_change bitwise.
     """
-    return kernels.F_scalar(check_lambda(lam), p.x, p.y)
+    lam = check_lambda(lam)
+    value = kernels.F_scalar(lam, p.x, p.y)
+    if not math.isfinite(value):
+        raise NumericalError(f"F[{lam:.4g}]({p.x!r}, {p.y!r}) is not finite: {value!r}")
+    return value
 
 
 def cobb_douglas_f(lam: float, p: PositivePair) -> float:

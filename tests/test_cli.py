@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +242,31 @@ class TestCommands:
                                 "--seed", "424242")
         assert out == out2
 
+    def test_verify_bad_seed_env_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHANGEKIT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--target", "abs", "--samples", "50"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--seed: invalid int value: 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_bad_seed_env_does_not_affect_rank(self, capsys, monkeypatch, example_file):
+        monkeypatch.setenv("CHANGEKIT_SEED", "abc")
+        code, out, err = run_cli(capsys, "rank", example_file)
+        assert code == 0 and err == ""
+        assert out.startswith("label")
+
+    @pytest.mark.parametrize("kind", ["table", "csv", "json"])
+    def test_rank_non_finite_indicator_exits_two(self, capsys, tmp_path, kind):
+        # 0.001**105 is subnormal, so f_105 of row a overflows to inf
+        path = tmp_path / "overflow.csv"
+        path.write_text("label,past,present\na,0.001,20\nb,35,70\n")
+        code, out, err = run_cli(capsys, "rank", str(path), "--lambda", "105", "--format", kind)
+        assert code == 2
+        assert out == ""
+        assert "NumericalError" in err
+
     def test_elasticity_command(self, capsys):
         code, out, _ = run_cli(capsys, "elasticity", "--fn", "power:A=5,k=0.3",
                                "--lambda", "0.5", "--x", "2")
@@ -299,3 +326,27 @@ class TestVerifyPlanInternals:
     def test_unknown_target(self):
         with pytest.raises(ValidationError):
             run_verify("nope", 0.5, SampleConfig(seed=1, count=10))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """Every `changekit ...` line of the README's "Command line" block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("changekit ")]
+
+
+def test_readme_lists_commands():
+    assert len(readme_commands()) >= 7
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_runs(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.delenv("CHANGEKIT_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text(EXAMPLE_CSV)
+    code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
+    assert out

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from changekit import (
     DomainError,
+    NumericalError,
     PositivePair,
     StagnantPairError,
     abs_change,
@@ -17,6 +18,7 @@ from changekit import (
     rel_change,
     relative_comparison,
 )
+from changekit import core
 from changekit.errors import ValidationError
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -98,6 +100,12 @@ class TestEvalF:
             with pytest.raises(DomainError):
                 eval_f(lam, pair(1, 2))
 
+    def test_non_finite_result_raises(self):
+        # 0.001**105 is subnormal: the quotient overflows to +inf, or -inf on decline
+        for y in (20, 0.0005):
+            with pytest.raises(NumericalError, match="not finite"):
+                eval_f(105, pair(0.001, y))
+
 
 class TestEvalBigF:
     def test_examples(self):
@@ -128,6 +136,14 @@ class TestEvalBigF:
                 v = eval_F(lam, p)
                 assert math.isfinite(v)
                 assert abs(v - target) <= 1.1 * eps + 1e-15
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_kernel_result_raises(self, monkeypatch, bad):
+        # F_scalar raises OverflowError before it can return inf on positive
+        # inputs, so the check is driven through a stand-in kernel
+        monkeypatch.setattr(core.kernels, "F_scalar", lambda lam, x, y: bad)
+        with pytest.raises(NumericalError, match="not finite"):
+            eval_F(0.5, pair(1, 2))
 
     @given(lambdas, positive, positive, positive)
     @settings(max_examples=300)
