@@ -2,6 +2,12 @@
 
 Scalar paths use ``math``; batch paths use vectorized numpy and write into
 a caller-supplied ``out`` array.  Non-finite results are left to the callers.
+
+``f`` needs no endpoint branch: ``x**0.0 == 1.0`` and ``x**1.0 == x`` are
+exact in IEEE arithmetic, so its one expression returns ``y - x`` at
+lam = 0 and ``(y - x) / x`` at lam = 1 bit for bit.  ``F`` keeps both
+endpoints as branches: at lam = 1 the general form is 0/0, and at lam = 0
+it goes through log and expm1, which do not give back ``y - x`` exactly.
 """
 import math
 
@@ -9,11 +15,7 @@ import numpy as np
 
 
 def f_scalar(lam: float, x: float, y: float) -> float:
-    """(y - x) / x**lam with exact endpoints at lam in {0, 1}."""
-    if lam == 0.0:
-        return y - x
-    if lam == 1.0:
-        return (y - x) / x
+    """(y - x) / x**lam."""
     return (y - x) / x**lam
 
 
@@ -31,15 +33,8 @@ def F_scalar(lam: float, x: float, y: float) -> float:
 
 def f_many(lam: float, xs, ys, out) -> None:
     xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    if lam == 0.0:
-        np.subtract(ys, xs, out=out)
-    elif lam == 1.0:
-        np.subtract(ys, xs, out=out)
-        np.divide(out, xs, out=out)
-    else:
-        np.subtract(ys, xs, out=out)
-        np.divide(out, xs**lam, out=out)
+    np.subtract(ys, xs, out=out)
+    np.divide(out, xs**lam, out=out)
 
 
 def F_many(lam: float, xs, ys, out) -> None:

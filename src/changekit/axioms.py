@@ -146,22 +146,6 @@ def F_indicator(lam: float) -> Indicator:
     )
 
 
-def abs_indicator() -> Indicator:
-    return Indicator("abs", lambda x, y: y - x, lambda xs, ys: ys - xs)
-
-
-def rel_indicator() -> Indicator:
-    return Indicator("rel", lambda x, y: (y - x) / x, lambda xs, ys: (ys - xs) / xs)
-
-
-def log_ratio_indicator() -> Indicator:
-    return Indicator(
-        "log_ratio",
-        lambda x, y: math.log(y) - math.log(x),
-        lambda xs, ys: np.log(ys) - np.log(xs),
-    )
-
-
 def _log_uniform(rng, lo: float, hi: float, n: int) -> np.ndarray:
     if lo == hi:
         return np.full(n, lo)
@@ -293,9 +277,9 @@ def check_normed(
 ) -> CheckReport:
     """First-order contract: |F(x, x+h) - f(x, x+h)| <= K * h**2 with shrinking h.
 
-    K = |lam| / min(x, x+h)**(1+lam) is the Lagrange-remainder constant of
-    the quadratic error bound (taken with |lam| so the check extends to the
-    negative lambdas of the test matrix, where 1 + lam >= 0 still holds).
+    The Lagrange remainder is |F - f| = |lam|/2 * xi**-(1+lam) * h**2 for
+    some xi between x and x+h.  K = |lam| * xi**-(1+lam) at the xi that makes
+    it largest: min(x, x+h) when 1 + lam >= 0, max(x, x+h) when 1 + lam < 0.
     The reported residual is the largest ratio |F - f| / (K * h**2);
     passing means no ratio exceeded 1.
     """
@@ -311,7 +295,8 @@ def check_normed(
         for frac in NORMED_H_FRACTIONS:
             h = x * frac
             diff = abs(F_ind(x, x + h) - f_ind(x, x + h))
-            bound = abs(lam) * h * h / min(x, x + h) ** (1.0 + lam)
+            xi = min(x, x + h) if lam >= -1.0 else max(x, x + h)
+            bound = abs(lam) * h * h / xi ** (1.0 + lam)
             if bound > 0.0:
                 ratio = diff / bound
             else:

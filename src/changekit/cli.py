@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
 from . import approximation, axioms, calibration, core, elasticity
@@ -281,16 +281,13 @@ _CHECKERS = {
 }
 
 
+#: The classical targets are the families' endpoints: (family, lambda).
+_ENDPOINT_TARGETS = {"abs": ("f", 0.0), "rel": ("f", 1.0), "log": ("F", 1.0)}
+
+
 def _target_indicator(target: str, lam: float) -> axioms.Indicator:
-    if target == "f":
-        return axioms.f_indicator(lam)
-    if target == "F":
-        return axioms.F_indicator(lam)
-    if target == "rel":
-        return axioms.rel_indicator()
-    if target == "abs":
-        return axioms.abs_indicator()
-    return axioms.log_ratio_indicator()
+    family, lam = _ENDPOINT_TARGETS.get(target, (target, lam))
+    return axioms.f_indicator(lam) if family == "f" else axioms.F_indicator(lam)
 
 
 def run_verify(target: str, lam: float, cfg: axioms.SampleConfig) -> tuple[list[dict], bool]:
@@ -311,13 +308,7 @@ def run_verify(target: str, lam: float, cfg: axioms.SampleConfig) -> tuple[list[
             report = axioms.check_normed(
                 axioms.F_indicator,
                 axioms.f_indicator,
-                axioms.SampleConfig(
-                    seed=cfg.seed,
-                    count=cfg.count,
-                    value_range=cfg.value_range,
-                    lambda_range=(lam, lam),
-                    c_range=cfg.c_range,
-                ),
+                replace(cfg, lambda_range=(lam, lam)),
             )
         else:
             report = _CHECKERS[name](ind, cfg)
@@ -390,8 +381,6 @@ def _cmd_plot_data(args) -> int:
     lambdas = _parse_lambda_list(args.lambdas)
     if not lambdas:
         raise ValidationError("at least one lambda is required")
-    if args.points < 2:
-        raise ValidationError(f"need at least 2 grid points, got {args.points}")
     grid = approximation.default_curve_grid(args.points, args.y_min, args.y_max)
     header, rows = approximation.curve_table(lambdas, grid)
     approximation.write_curve_csv(sys.stdout, header, rows)

@@ -3,9 +3,12 @@
 The family ``eval_f`` interpolates absolute change (lam = 0) and relative
 change (lam = 1).  The family ``eval_F`` is its antisymmetric, additive
 counterpart, interpolating absolute change (lam = 0) and the log-ratio
-(lam = 1).  Both endpoints are special-cased in the kernel module so the
-generalization claims hold bitwise, not just approximately.  A result that
-is not finite raises NumericalError instead of being returned.
+(lam = 1).  The generalization claims hold bitwise at both endpoints, not
+just approximately: ``f``'s by arithmetic alone (``x**0.0 == 1.0`` and
+``x**1.0 == x``), ``F``'s through branches in the kernel module, because
+its general form is 0/0 at lam = 1 and inexact at lam = 0.  A result that
+is not finite, returned or signalled by the kernel as an overflow or a
+division by zero, raises NumericalError.
 """
 from __future__ import annotations
 
@@ -31,6 +34,18 @@ def log_ratio(p: PositivePair) -> float:
     return math.log(p.y) - math.log(p.x)
 
 
+def _not_finite(name: str, lam: float, p: PositivePair, cause) -> NumericalError:
+    """The one error for a family value that is not finite.
+
+    ``cause`` is the kernel's non-finite value, or the error by which the
+    scalar kernel signalled one: x**lam underflows to 0 (ZeroDivisionError)
+    or overflows (OverflowError).  The kernel call stays inline in eval_f
+    and eval_F: a helper around it would add a Python call to every
+    evaluation, and only the error path needs to be shared.
+    """
+    return NumericalError(f"{name}[{lam:.4g}]({p.x!r}, {p.y!r}) is not finite: {cause!r}")
+
+
 def eval_f(lam: float, p: PositivePair) -> float:
     """f(x, y) = (y - x) / x**lam.
 
@@ -38,9 +53,12 @@ def eval_f(lam: float, p: PositivePair) -> float:
     The result carries the (documented, not computed) unit u**(1 - lam).
     """
     lam = check_lambda(lam)
-    value = kernels.f_scalar(lam, p.x, p.y)
+    try:
+        value = kernels.f_scalar(lam, p.x, p.y)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _not_finite("f", lam, p, exc) from exc
     if not math.isfinite(value):
-        raise NumericalError(f"f[{lam:.4g}]({p.x!r}, {p.y!r}) is not finite: {value!r}")
+        raise _not_finite("f", lam, p, value)
     return value
 
 
@@ -52,9 +70,12 @@ def eval_F(lam: float, p: PositivePair) -> float:
     abs_change bitwise.
     """
     lam = check_lambda(lam)
-    value = kernels.F_scalar(lam, p.x, p.y)
+    try:
+        value = kernels.F_scalar(lam, p.x, p.y)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _not_finite("F", lam, p, exc) from exc
     if not math.isfinite(value):
-        raise NumericalError(f"F[{lam:.4g}]({p.x!r}, {p.y!r}) is not finite: {value!r}")
+        raise _not_finite("F", lam, p, value)
     return value
 
 
@@ -87,10 +108,6 @@ def quantity_indicator(lam: float, x: float, y: float) -> float:
         raise DomainError(f"reference quantity x must be positive, got {x!r}")
     if not (math.isfinite(y) and y >= 0):
         raise DomainError(f"quantity y must be nonnegative, got {y!r}")
-    if lam == 0.0:
-        return y
-    if lam == 1.0:
-        return y / x
     return y / x**lam
 
 

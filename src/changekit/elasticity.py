@@ -57,12 +57,11 @@ def classical_elasticity(g: EconFunction, x: float) -> float:
 def generalized_elasticity(lam: float, g: EconFunction, x: float) -> float:
     """g'(x) * (x / g(x))**lam.
 
-    lam = 0 reduces to the marginal function and lam = 1 to the classical
-    elasticity, both via the exact same code path (bitwise equal results).
+    lam = 0 returns the marginal function bitwise, since (x / g)**0.0 == 1.0.
+    lam = 1 returns classical_elasticity bitwise through its own branch: the
+    general form rounds m * (x / g), classical_elasticity rounds m * x / g.
     """
     lam = check_lambda(lam)
-    if lam == 0.0:
-        return marginal(g, x)
     if lam == 1.0:
         return classical_elasticity(g, x)
     return marginal(g, x) * (x / g.value(x)) ** lam
@@ -78,10 +77,6 @@ def elasticity_quotient(lam: float, g: EconFunction, x: float, h: float) -> floa
         raise DomainError("elasticity quotient requires a nonzero step h")
     gx = g.value(x)
     gy = g.value(x + h)
-    if lam == 0.0:
-        return (gy - gx) / h
-    if lam == 1.0:
-        return ((gy - gx) / gx) / (h / x)
     return ((gy - gx) / gx**lam) / (h / x**lam)
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal, localcontext
+from functools import partial
 
 import pytest
 
@@ -9,7 +11,6 @@ from changekit.axioms import (
     SampleConfig,
     VIOLATION_FLOOR,
     F_indicator,
-    abs_indicator,
     check_additivity,
     check_affine_linearity,
     check_antisymmetry,
@@ -18,12 +19,15 @@ from changekit.axioms import (
     check_relative_scaling,
     check_vartia_invariance,
     f_indicator,
-    log_ratio_indicator,
-    rel_indicator,
 )
 from changekit.errors import ValidationError
 
 LAMBDA_MATRIX = (-1.0, 0.0, 0.25, 0.5, 1.0, 2.0)
+
+# The classical indicators are the families' endpoints.
+abs_indicator = partial(f_indicator, 0.0)
+rel_indicator = partial(f_indicator, 1.0)
+log_ratio_indicator = partial(F_indicator, 1.0)
 
 
 def cfg(seed=1234, count=2000, **kw):
@@ -172,6 +176,20 @@ class TestNormed:
         shifted = lambda lam: f_indicator(lam + 0.5)
         report = check_normed(F_indicator, shifted, cfg(count=300, lambda_range=(0.5, 0.5)))
         assert not report.passed
+
+    def test_exact_family_passes_below_minus_one(self):
+        # With 1 + lam < 0 the remainder constant peaks at x + h, not at x;
+        # F in 60-digit decimal leaves only the remainder itself to measure.
+        def decimal_F(lam):
+            def F(x, y):
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    u = 1 - Decimal(lam)
+                    return float((Decimal(y) ** u - Decimal(x) ** u) / u)
+            return Indicator(f"F_decimal[{lam:.4g}]", F)
+
+        report = check_normed(decimal_F, f_indicator, cfg(count=200, lambda_range=(-20.0, -20.0)))
+        assert report.passed, report.to_dict()
 
     def test_lambda_zero_exact(self):
         report = check_normed(F_indicator, f_indicator, cfg(count=100, lambda_range=(0.0, 0.0)))

@@ -267,6 +267,16 @@ class TestCommands:
         assert out == ""
         assert "NumericalError" in err
 
+    @pytest.mark.parametrize("indicator", ["f", "F"])
+    def test_rank_kernel_range_error_exits_two(self, capsys, tmp_path, indicator):
+        # 0.001**400 underflows to 0 in f_400; expm1 overflows in F_400
+        path = tmp_path / "range.csv"
+        path.write_text("label,past,present\na,0.001,20\nb,35,70\n")
+        code, out, err = run_cli(capsys, "rank", str(path), "--lambda", "400",
+                                 "--indicator", indicator)
+        assert (code, out) == (2, "")
+        assert "NumericalError" in err
+
     def test_elasticity_command(self, capsys):
         code, out, _ = run_cli(capsys, "elasticity", "--fn", "power:A=5,k=0.3",
                                "--lambda", "0.5", "--x", "2")
@@ -309,10 +319,29 @@ class TestCommands:
         code, _, err = run_cli(capsys, "plot-data", "--y-min", "-1")
         assert code == 1
 
+    def test_plot_data_single_point_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "plot-data", "--points", "1")
+        assert code == 1
+        assert out == ""
+        assert "at least 2 points" in err
+
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify"])  # missing required --target
         assert exc.value.code == 1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("target", ["rel", "abs", "log"])
+def test_verify_classical_target_matches_golden(capsys, monkeypatch, target):
+    # The classical targets are the families' endpoints; the golden files
+    # pin their reports byte for byte.
+    monkeypatch.delenv("CHANGEKIT_SEED", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--target", target, "--samples", "200")
+    assert code == 0
+    assert out == (GOLDEN / f"verify_{target}_samples200.json").read_text()
 
 
 class TestVerifyPlanInternals:

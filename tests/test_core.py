@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from changekit import (
@@ -24,9 +25,42 @@ from changekit.errors import ValidationError
 positive = st.floats(min_value=1e-3, max_value=1e3)
 lambdas = st.floats(min_value=-2.0, max_value=3.0)
 
+#: Unit roundoff of doubles: every correctly rounded operation is off by at
+#: most this factor of its exact result; pow by at most twice it (one ulp).
+U = sys.float_info.epsilon / 2
+
 
 def pair(x, y):
     return PositivePair(x, y)
+
+
+def scaling_residual(lam, x, y, c):
+    """|f(Cx, Cy) - C**(1-lam) * f(x, y)| and the bound rounding allows it.
+
+    The bound counts, in units of U times the terms that cancel,
+    T = (c*x + c*y) / (c*x)**lam: forming c*x and c*y (1, plus |lam| through
+    (c*x)**lam), each kernel (4: 1 for the subtraction, 2 for pow, 1 for
+    the division), c**(1-lam) (2, plus |ln c| * |1-lam| from rounding
+    1 - lam) and the final product (1).  Each side is at most T in magnitude.
+    """
+    lhs = eval_f(lam, pair(c * x, c * y))
+    rhs = c ** (1.0 - lam) * eval_f(lam, pair(x, y))
+    terms = (c * x + c * y) / (c * x) ** lam
+    return abs(lhs - rhs), (12 + abs(lam) + abs(math.log(c) * (1.0 - lam))) * U * terms
+
+
+def affine_residual(lam, x, y1, y2, t):
+    """|f(x, ym) - ((1-t) f(x, y1) + t f(x, y2))| and the bound rounding allows it.
+
+    With e = U / x**lam, the error is at most e * (2*ym + 4*|ym - x|) on the
+    left (forming ym, then the kernel), 6 * e * ((1-t)|y1 - x| + t|y2 - x|)
+    on the right (the kernels, both products and the sum) and e * x from
+    rounding 1 - t.  Bounding each |a - b| by a + b gives 12 * e * (ym + x).
+    """
+    ym = (1 - t) * y1 + t * y2
+    lhs = eval_f(lam, pair(x, ym))
+    rhs = (1 - t) * eval_f(lam, pair(x, y1)) + t * eval_f(lam, pair(x, y2))
+    return abs(lhs - rhs), 12 * U * (ym + x) / x**lam
 
 
 class TestBaseline:
@@ -72,22 +106,32 @@ class TestEvalF:
         assert eval_f(lam, pair(x, x)) == 0.0
 
     @given(lambdas, positive, positive, st.floats(min_value=1e-3, max_value=1e3))
+    @example(lam=0.0, x=1.0, y=0.99999, c=3.0)
+    @example(lam=0.0, x=2.0, y=2.00001, c=3.0)
     @settings(max_examples=300)
     def test_exact_scaling_law(self, lam, x, y, c):
-        # f(Cx, Cy) = C**(1-lam) * f(x, y); skip pairs within rounding of
-        # each other, where y - x itself is dominated by representation error
-        assume(abs(y - x) > 1e-9 * max(x, y))
-        lhs = eval_f(lam, pair(c * x, c * y))
-        rhs = c ** (1.0 - lam) * eval_f(lam, pair(x, y))
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+        residual, bound = scaling_residual(lam, x, y, c)
+        assert residual <= bound
 
     @given(lambdas, positive, positive, positive, st.floats(min_value=0.0, max_value=1.0))
+    @example(lam=-1.0, x=398.5625, y1=1.5649594411530074, y2=795.5625, t=0.5)
+    @example(lam=-1.0, x=678.0, y1=678.0, y2=714.0, t=0.001)
+    @example(lam=-2.0, x=56.58984375, y1=56.59039144776352, y2=1.0, t=2.0**-24)
     @settings(max_examples=300)
     def test_affine_in_second_argument(self, lam, x, y1, y2, t):
-        ym = (1 - t) * y1 + t * y2
-        lhs = eval_f(lam, pair(x, ym))
-        rhs = (1 - t) * eval_f(lam, pair(x, y1)) + t * eval_f(lam, pair(x, y2))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+        residual, bound = affine_residual(lam, x, y1, y2, t)
+        assert residual <= bound
+
+    def test_identity_bounds_catch_a_y_dependent_kernel_error(self, monkeypatch):
+        # A uniform relative error cancels out of both identities; one that
+        # depends on y, here 1e-12 * ln(y), must break them.
+        exact = core.kernels.f_scalar
+        monkeypatch.setattr(core.kernels, "f_scalar",
+                            lambda lam, x, y: exact(lam, x, y) * (1 + 1e-12 * math.log(y)))
+        residual, bound = scaling_residual(0.5, 2.0, 7.0, 30.0)
+        assert residual > bound
+        residual, bound = affine_residual(0.5, 2.0, 0.1, 7.0, 0.3)
+        assert residual > bound
 
     def test_monotone_in_present_value(self):
         for lam in (-1.0, 0.0, 0.5, 1.0, 2.0):
@@ -105,6 +149,16 @@ class TestEvalF:
         for y in (20, 0.0005):
             with pytest.raises(NumericalError, match="not finite"):
                 eval_f(105, pair(0.001, y))
+
+    @pytest.mark.parametrize("lam", [400.0, -400.0, 1000.0, -1000.0])
+    def test_kernel_range_errors_raise_numerical_error(self, lam):
+        # x**lam underflows to 0 (ZeroDivisionError) or overflows (OverflowError)
+        for p in (pair(1e-3, 2e-3), pair(1e3, 2e3)):
+            with pytest.raises(NumericalError, match="not finite"):
+                eval_f(lam, p)
+        # expm1((1 - lam) * ln y) overflows (OverflowError)
+        with pytest.raises(NumericalError, match="not finite"):
+            eval_F(lam, pair(1e-3, 2e-3) if lam > 0 else pair(1e3, 2e3))
 
 
 class TestEvalBigF:
