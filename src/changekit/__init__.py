@@ -49,7 +49,7 @@ from .errors import (
     StagnantPairError,
     ValidationError,
 )
-from .types import IndicatorReport, LabeledObservation, PositivePair
+from .types import PositivePair
 
 __version__ = "0.1.0"
 
@@ -60,8 +60,6 @@ __all__ = [
     "DomainError",
     "EconFunction",
     "EqualPastValuesError",
-    "IndicatorReport",
-    "LabeledObservation",
     "NumericalError",
     "ParseError",
     "PositivePair",

@@ -73,7 +73,7 @@ def scaled_relative_pair(p: PositivePair, c: float) -> PositivePair:
         raise DomainError(
             f"constructed pair ({x2}, {y2}) leaves the positive domain for C = {c}"
         )
-    return PositivePair(x2, y2, p.unit)
+    return PositivePair(x2, y2)
 
 
 def symmetric_scaling_residual(lam: float, p: PositivePair, c: float) -> float:

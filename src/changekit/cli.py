@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .types import IndicatorReport, LabeledObservation, PositivePair, check_lambda
+from .types import PositivePair, check_lambda
 
 DEFAULT_LAMBDA = 0.5  # the symmetric choice between absolute and relative
 DEFAULT_SEED = 20260824
@@ -37,12 +37,16 @@ RANK_TIE_REL = 1e-9
 #: Precision value that switches csv/json output to shortest round-trip floats.
 FULL_PRECISION = 15
 
+#: One ranked observation: (label, pair, indicator value, dense rank).
+Row = tuple[str, PositivePair, float, int]
+
 
 @dataclass
 class Dataset:
-    """An ordered collection of labeled observations."""
+    """Labeled observations in input order: ``labels[i]`` names ``pairs[i]``."""
 
-    observations: list[LabeledObservation]
+    labels: list[str]
+    pairs: list[PositivePair]
     source: str = "<stdin>"
 
 
@@ -70,7 +74,8 @@ def parse_csv(stream: Iterable[str], source: str = "<stdin>") -> Dataset:
         raise ParseError(
             f"{source}:1: expected header 'label,past,present', got {','.join(header)!r}"
         )
-    observations: list[LabeledObservation] = []
+    labels: list[str] = []
+    pairs: list[PositivePair] = []
     seen: set[str] = set()
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -96,46 +101,38 @@ def parse_csv(stream: Iterable[str], source: str = "<stdin>") -> Dataset:
         except ValidationError as exc:
             raise ValidationError(f"{source}:{lineno}: observation {label!r}: {exc}")
         seen.add(label)
-        observations.append(LabeledObservation(label, pair))
-    if not observations:
+        labels.append(label)
+        pairs.append(pair)
+    if not pairs:
         raise ValidationError(f"{source}: no observations")
-    return Dataset(observations, source)
+    return Dataset(labels, pairs, source)
 
 
-def _dense_rank(reports: list[IndicatorReport]) -> list[IndicatorReport]:
-    """Dense ranking by descending indicator value; near-equal values tie.
+def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
+    """Rows dense-ranked by the chosen family, sorted by descending value, then label.
 
-    Returns the reports sorted by (rank, label); tied values share a rank
-    and the next distinct value takes the immediately following one.
+    A value shares the rank of the rank's first value, its head, while it is
+    within ``RANK_TIE_REL * max(1, |head|)`` of the head.  The band is
+    measured from the head, not from the preceding value: for a > b > c with
+    each within the band of its predecessor but c outside that of a, the
+    ranks are 1, 1, 2.
     """
-    ordered = sorted(reports, key=lambda r: (-r.indicator, r.label))
-    rank = 0
-    head = None
-    for rep in ordered:
-        if head is None or head - rep.indicator > RANK_TIE_REL * max(1.0, abs(head)):
-            rank += 1
-            head = rep.indicator
-        rep.rank = rank
-    return ordered
-
-
-def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[IndicatorReport]:
-    """Per-observation report rows with a dense rank by the chosen family."""
     lam = check_lambda(lam)
     if indicator not in ("f", "F"):
         raise ValidationError(f"indicator must be 'f' or 'F', got {indicator!r}")
     evaluate = core.eval_f if indicator == "f" else core.eval_F
-    reports = [
-        IndicatorReport(
-            label=obs.label,
-            pair=obs.pair,
-            abs_change=core.abs_change(obs.pair),
-            rel_change=core.rel_change(obs.pair),
-            indicator=evaluate(lam, obs.pair),
-        )
-        for obs in ds.observations
-    ]
-    return _dense_rank(reports)
+    labels, pairs = ds.labels, ds.pairs
+    values = [evaluate(lam, p) for p in pairs]
+    rows = []
+    rank = 0
+    head = None
+    for i in sorted(range(len(values)), key=lambda i: (-values[i], labels[i])):
+        value = values[i]
+        if head is None or head - value > RANK_TIE_REL * max(1.0, abs(head)):
+            rank += 1
+            head = value
+        rows.append((labels[i], pairs[i], value, rank))
+    return rows
 
 
 def _fmt_num(v: float, precision: int) -> str:
@@ -149,66 +146,59 @@ def _indicator_column(indicator: str, lam: float) -> str:
 
 
 def render_reports(
-    reports: Sequence[IndicatorReport],
+    rows: Sequence[Row],
     fmt: OutputFormat,
     indicator: str,
     lam: float,
     out: TextIO,
     unit: str = "",
 ) -> None:
+    """Write ranked rows as a table, csv or json; ``unit`` is a table footnote."""
     p = fmt.precision
-    if fmt.kind == "csv":
-        out.write("label,past,present,abs,rel,indicator,rank\n")
-        for r in reports:
-            cells = [
-                r.label,
-                _fmt_num(r.pair.x, p),
-                _fmt_num(r.pair.y, p),
-                _fmt_num(r.abs_change, p),
-                _fmt_num(r.rel_change, p),
-                _fmt_num(r.indicator, p),
-                str(r.rank),
-            ]
-            out.write(",".join(cells) + "\n")
-    elif fmt.kind == "json":
+    if fmt.kind == "json":
         def num(v: float):
             return float(v) if p >= FULL_PRECISION else round(v, p)
 
         payload = [
             {
-                "label": r.label,
-                "past": num(r.pair.x),
-                "present": num(r.pair.y),
-                "abs": num(r.abs_change),
-                "rel": num(r.rel_change),
-                "indicator": num(r.indicator),
-                "rank": r.rank,
+                "label": label,
+                "past": num(pair.x),
+                "present": num(pair.y),
+                "abs": num(core.abs_change(pair)),
+                "rel": num(core.rel_change(pair)),
+                "indicator": num(value),
+                "rank": rank,
             }
-            for r in reports
+            for label, pair, value, rank in rows
         ]
         out.write(json.dumps(payload) + "\n")
-    else:
-        headers = ["label", "past", "present", "abs", "rel", _indicator_column(indicator, lam), "rank"]
-        rows = [
-            [
-                r.label,
-                _fmt_num(r.pair.x, p),
-                _fmt_num(r.pair.y, p),
-                _fmt_num(r.abs_change, p),
-                f"{r.rel_change * 100:.{p}f}%",
-                _fmt_num(r.indicator, p),
-                str(r.rank),
-            ]
-            for r in reports
+        return
+    table = fmt.kind == "table"
+    cells = (
+        [
+            label,
+            _fmt_num(pair.x, p),
+            _fmt_num(pair.y, p),
+            _fmt_num(core.abs_change(pair), p),
+            f"{core.rel_change(pair) * 100:.{p}f}%" if table else _fmt_num(core.rel_change(pair), p),
+            _fmt_num(value, p),
+            str(rank),
         ]
-        widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
-        out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-        for row in rows:
-            out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
-        if unit:
-            # Units are metadata only; the indicator value notionally carries
-            # the unit raised to the (1 - lambda) power.
-            out.write(f"# indicator unit: {unit}^{1 - lam:.4g}\n")
+        for label, pair, value, rank in rows
+    )
+    if not table:
+        out.write("label,past,present,abs,rel,indicator,rank\n")
+        out.writelines(",".join(row) + "\n" for row in cells)
+        return
+    cells = list(cells)  # the column widths need every row
+    headers = ["label", "past", "present", "abs", "rel", _indicator_column(indicator, lam), "rank"]
+    widths = [max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)]
+    for row in (headers, *cells):
+        out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+    if unit:
+        # Units are metadata only; the indicator value notionally carries
+        # the unit raised to the (1 - lambda) power.
+        out.write(f"# indicator unit: {unit}^{1 - lam:.4g}\n")
 
 
 def _parse_pair(text: str, what: str) -> PositivePair:
@@ -332,9 +322,8 @@ def _cmd_rank(args) -> int:
     else:
         with open(args.input, "r", encoding="utf-8", newline="") as fh:
             ds = parse_csv(fh, args.input)
-    lam = check_lambda(args.lam)
-    reports = rank_dataset(ds, lam, args.indicator)
-    render_reports(reports, fmt, args.indicator, lam, sys.stdout, unit=args.unit)
+    rows = rank_dataset(ds, args.lam, args.indicator)
+    render_reports(rows, fmt, args.indicator, args.lam, sys.stdout, unit=args.unit_label)
     return 0
 
 
@@ -409,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p_rank.add_argument("--precision", type=int, default=2,
                         help="decimal places; 15 switches to full-precision floats")
-    p_rank.add_argument("--unit", default="", help="measurement unit, shown as a footnote")
+    p_rank.add_argument("--unit", dest="unit_label", metavar="UNIT", default="",
+                        help="measurement unit, shown as a footnote (table format only)")
     p_rank.set_defaults(handler=_cmd_rank)
 
     p_cmp = sub.add_parser("compare", help="unit-free quotient of two indicator values")

@@ -30,7 +30,11 @@ def rel_change(p: PositivePair) -> float:
 
 
 def log_ratio(p: PositivePair) -> float:
-    """ln(y / x), evaluated as ln(y) - ln(x) for stability at extreme ratios."""
+    """ln(y / x), evaluated as ln(y) - ln(x).
+
+    The difference cancels when y is near x: at (1000, 1000.001) its
+    relative error is 1.2e-10, against 2.9e-17 for log1p((y - x) / x).
+    """
     return math.log(p.y) - math.log(p.x)
 
 

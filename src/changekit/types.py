@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 
@@ -17,14 +17,10 @@ def check_lambda(lam: float) -> float:
 
 @dataclass(frozen=True)
 class PositivePair:
-    """An observation (x, y): past and present value, both strictly positive.
-
-    ``unit`` is display metadata only; no unit arithmetic is performed.
-    """
+    """An observation (x, y): past and present value, both strictly positive."""
 
     x: float
     y: float
-    unit: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "x", float(self.x))
@@ -36,31 +32,4 @@ class PositivePair:
 
     def scaled(self, c: float) -> "PositivePair":
         """The pair (c*x, c*y), c > 0."""
-        return PositivePair(c * self.x, c * self.y, self.unit)
-
-    def swapped(self) -> "PositivePair":
-        return PositivePair(self.y, self.x, self.unit)
-
-
-@dataclass(frozen=True)
-class LabeledObservation:
-    """A PositivePair with a text label, for ranking."""
-
-    label: str
-    pair: PositivePair
-
-    def __post_init__(self):
-        if not self.label:
-            raise ValidationError("observation label must be nonempty")
-
-
-@dataclass
-class IndicatorReport:
-    """Per-observation computed values plus a dense rank."""
-
-    label: str
-    pair: PositivePair
-    abs_change: float
-    rel_change: float
-    indicator: float
-    rank: int = field(default=0)
+        return PositivePair(c * self.x, c * self.y)

@@ -70,15 +70,15 @@ def random_pairs(rng, n, lo=1e-3, hi=1e3):
 def test_criterion_1_example_reproduction():
     start = time.perf_counter()
     ds = parse_csv(io.StringIO(EXAMPLE_CSV))
-    reports = {r.label: r for r in rank_dataset(ds, 0.5, "f")}
+    reports = {label: (value, rank) for label, _, value, rank in rank_dataset(ds, 0.5, "f")}
     elapsed = time.perf_counter() - start
 
     expected = {"I": 3.16, "II": 3.13, "III": 5.92, "IV": 5.92, "V": 6.15}
     for label, value in expected.items():
-        assert abs(reports[label].indicator - value) <= 0.005
-        assert round(reports[label].indicator, 2) == value
-    assert reports["V"].rank == 1
-    assert reports["III"].rank == reports["IV"].rank == 2
+        assert abs(reports[label][0] - value) <= 0.005
+        assert round(reports[label][0], 2) == value
+    assert reports["V"][1] == 1
+    assert reports["III"][1] == reports["IV"][1] == 2
     assert elapsed < 1.0
     announce(1, f"five-channel example reproduced in {elapsed * 1e3:.1f} ms")
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from changekit.cli import (
+    RANK_TIE_REL,
     Dataset,
     OutputFormat,
     main,
@@ -17,7 +18,7 @@ from changekit.cli import (
 )
 from changekit.axioms import SampleConfig
 from changekit.errors import ParseError, ValidationError
-from changekit.types import LabeledObservation, PositivePair
+from changekit.types import PositivePair
 
 EXAMPLE_CSV = """label,past,present
 I,10,20
@@ -44,12 +45,12 @@ def run_cli(capsys, *argv):
 class TestParseCsv:
     def test_basic(self):
         ds = parse_csv(io.StringIO(EXAMPLE_CSV))
-        assert [o.label for o in ds.observations] == ["I", "II", "III", "IV", "V"]
-        assert ds.observations[0].pair == PositivePair(10, 20)
+        assert ds.labels == ["I", "II", "III", "IV", "V"]
+        assert ds.pairs[0] == PositivePair(10, 20)
 
     def test_header_case_insensitive_and_crlf(self):
         ds = parse_csv(io.StringIO("Label,Past,Present\r\nA,1,2\r\n"))
-        assert ds.observations[0].label == "A"
+        assert ds.labels[0] == "A"
 
     def test_missing_header(self):
         with pytest.raises(ParseError, match="header"):
@@ -84,37 +85,52 @@ class TestRanking:
     def test_example_ranking(self):
         ds = parse_csv(io.StringIO(EXAMPLE_CSV))
         reports = rank_dataset(ds, 0.5, "f")
-        by_label = {r.label: r for r in reports}
-        assert by_label["V"].rank == 1
-        assert by_label["III"].rank == 2 and by_label["IV"].rank == 2
-        assert by_label["I"].rank == 3
-        assert by_label["II"].rank == 4
-        assert [r.label for r in reports] == ["V", "III", "IV", "I", "II"]
+        by_label = {label: rank for label, _, _, rank in reports}
+        assert by_label["V"] == 1
+        assert by_label["III"] == 2 and by_label["IV"] == 2
+        assert by_label["I"] == 3
+        assert by_label["II"] == 4
+        assert [label for label, _, _, _ in reports] == ["V", "III", "IV", "I", "II"]
 
     def test_abs_ranking_cannot_separate_ii_and_iii(self):
         ds = parse_csv(io.StringIO(EXAMPLE_CSV))
         reports = rank_dataset(ds, 0.0, "f")
-        by_label = {r.label: r for r in reports}
-        assert by_label["II"].rank == 1 and by_label["III"].rank == 1
-        assert [r.indicator for r in sorted(reports, key=lambda r: r.label)] == [
+        by_label = {label: rank for label, _, _, rank in reports}
+        assert by_label["II"] == 1 and by_label["III"] == 1
+        assert [value for _, _, value, _ in sorted(reports, key=lambda r: r[0])] == [
             10, 70, 70, 35, 55]
 
     def test_single_row(self):
-        ds = Dataset([LabeledObservation("only", PositivePair(3, 4))])
+        ds = Dataset(["only"], [PositivePair(3, 4)])
         reports = rank_dataset(ds, 0.5)
-        assert reports[0].rank == 1
+        assert reports[0][3] == 1
 
     def test_dense_ranks_after_tie(self):
         ds = Dataset(
+            ["a", "b", "c"],
             [
-                LabeledObservation("a", PositivePair(1, 4)),
-                LabeledObservation("b", PositivePair(2, 8)),  # same rel change as a
-                LabeledObservation("c", PositivePair(1, 2)),
-            ]
+                PositivePair(1, 4),
+                PositivePair(2, 8),  # same rel change as a
+                PositivePair(1, 2),
+            ],
         )
         reports = rank_dataset(ds, 1.0, "f")
-        ranks = {r.label: r.rank for r in reports}
+        ranks = {label: rank for label, _, _, rank in reports}
         assert ranks == {"a": 1, "b": 1, "c": 2}
+
+    def test_tie_band_is_measured_from_the_head_of_the_rank(self):
+        # f_0 = y - x.  b and c each lie 0.6 band widths below their
+        # predecessor, so c is 1.2 band widths below a, the head of rank 1.
+        step = 0.6 * RANK_TIE_REL * 1000.0
+        a, b, c = 1000.0, 1000.0 - step, 1000.0 - 2 * step
+        ds = Dataset(["a", "b", "c"], [PositivePair(1, 1 + v) for v in (a, b, c)])
+        reports = rank_dataset(ds, 0.0, "f")
+        values = [value for _, _, value, _ in reports]
+        assert values[0] > values[1] > values[2]
+        assert values[0] - values[1] <= RANK_TIE_REL * values[0]
+        assert values[1] - values[2] <= RANK_TIE_REL * values[1]
+        assert values[0] - values[2] > RANK_TIE_REL * values[0]
+        assert [(label, rank) for label, _, _, rank in reports] == [("a", 1), ("b", 1), ("c", 2)]
 
 
 class TestRendering:
@@ -150,8 +166,8 @@ class TestRendering:
         for line in buf.getvalue().strip().split("\n")[1:]:
             cells = line.split(",")
             reparsed[cells[0]] = float(cells[5])
-        for r in reports:
-            assert reparsed[r.label] == r.indicator  # bit-exact
+        for label, _, value, _ in reports:
+            assert reparsed[label] == value  # bit-exact
 
     def test_json_deterministic(self):
         bufs = []

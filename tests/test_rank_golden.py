@@ -1,0 +1,103 @@
+"""Golden stdout of `changekit rank`.
+
+The worked five-channel example is pinned byte for byte in `tests/golden/`;
+a seeded 2,000-row CSV is pinned by the sha256 of its output.  Both go
+through `cli.main` only, so they hold for any internal row representation.
+"""
+import hashlib
+import random
+from pathlib import Path
+
+import pytest
+
+from changekit.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+EXAMPLE_CSV = """label,past,present
+I,10,20
+II,500,570
+III,140,210
+IV,35,70
+V,80,135
+"""
+
+
+def rank_stdout(capsys, path, *flags):
+    code = main(["rank", str(path), *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    return captured.out
+
+
+@pytest.mark.parametrize("precision", ["2", "15"])
+@pytest.mark.parametrize("kind", ["table", "csv", "json"])
+@pytest.mark.parametrize("indicator", ["f", "F"])
+def test_example_matches_golden(capsys, tmp_path, indicator, kind, precision):
+    path = tmp_path / "channels.csv"
+    path.write_text(EXAMPLE_CSV)
+    out = rank_stdout(capsys, path, "--indicator", indicator, "--format", kind,
+                      "--precision", precision)
+    assert out == (GOLDEN / f"rank_example_{indicator}_{kind}_p{precision}.txt").read_text()
+
+
+def test_example_unit_footnote_matches_golden(capsys, tmp_path):
+    path = tmp_path / "channels.csv"
+    path.write_text(EXAMPLE_CSV)
+    out = rank_stdout(capsys, path, "--unit", "EUR")
+    assert out == (GOLDEN / "rank_example_f_table_p2_unit_EUR.txt").read_text()
+
+
+def write_seeded_csv(path, n=2000, seed=20260824):
+    """n rows over six decades, with exact and near ties.
+
+    About 5% of rows are stagnant (x == y, value 0 for every lambda), 5%
+    repeat an earlier row exactly, and 5% are an earlier row scaled by a
+    power of ten, which ties at lambda = 1 up to rounding (the tie band).
+    """
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        u = rng.random()
+        if u < 0.05 and rows:
+            x, y = rows[rng.randrange(len(rows))]
+        elif u < 0.10 and rows:
+            x, y = rows[rng.randrange(len(rows))]
+            c = 10.0 ** rng.randint(-2, 2)
+            x, y = f"{float(x) * c:.6g}", f"{float(y) * c:.6g}"
+        else:
+            x = f"{10.0 ** rng.uniform(-2.0, 4.0):.6g}"
+            y = x if u < 0.15 else f"{float(x) * 2.0 ** rng.gauss(0.0, 1.0):.6g}"
+        rows.append((x, y))
+    path.write_text("label,past,present\n"
+                    + "".join(f"r{i:04d},{x},{y}\n" for i, (x, y) in enumerate(rows)))
+
+
+SEEDED_SHA256 = {
+    ("f", "0.5", "table", "2"):
+        "59fe29dea3063fabc3dcba579d08b2e499d754545e47eeab0c359f7095c05dc5",
+    ("f", "0", "csv", "15"):
+        "e3a4d0eb56258f7b41610cff4e9609e3d1cb993d93813081beff54d1fca2f261",
+    ("f", "1", "json", "15"):
+        "039ea5894483508f0e49c30755c66c8801949e3e59d7f6cc443e0f23272bed32",
+    ("f", "-1", "csv", "2"):
+        "3d63c43f4bd66a2ac995f799de7de2e8310db281949d1ad962ffaee5589d8c3d",
+    ("F", "0.5", "json", "2"):
+        "fa6cacc29822952610ffc0a9a7035d05f096f5e58507a7412397aaa5cbf7cc88",
+    ("F", "1", "table", "15"):
+        "10af79d6bb707ac16bafec286eed6001dd8e2f1cf6543734c5773b95bb81a428",
+    ("F", "-1", "csv", "15"):
+        "09c38941c113b0127cbf09ae286c72867ec8003daccd79810b0c976b88844c48",
+    ("F", "2", "table", "2"):
+        "c0fd5b4abf62bb8c1d9bbf8f354bcb8939bac1a6c2982db97b35131320a53b59",
+}
+
+
+@pytest.mark.parametrize("config", sorted(SEEDED_SHA256))
+def test_seeded_csv_matches_golden_digest(capsys, tmp_path, config):
+    indicator, lam, kind, precision = config
+    path = tmp_path / "seeded.csv"
+    write_seeded_csv(path)
+    out = rank_stdout(capsys, path, "--indicator", indicator, "--lambda", lam,
+                      "--format", kind, "--precision", precision)
+    assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_SHA256[config]
