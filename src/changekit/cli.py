@@ -275,7 +275,7 @@ _CHECKERS = {
 _ENDPOINT_TARGETS = {"abs": ("f", 0.0), "rel": ("f", 1.0), "log": ("F", 1.0)}
 
 
-def _target_indicator(target: str, lam: float) -> axioms.Indicator:
+def _target_indicator(target: str, lam: float) -> axioms.BatchFn:
     family, lam = _ENDPOINT_TARGETS.get(target, (target, lam))
     return axioms.f_indicator(lam) if family == "f" else axioms.F_indicator(lam)
 
@@ -349,7 +349,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_verify(args) -> int:
     lam = check_lambda(args.lam)
-    cfg = axioms.SampleConfig(seed=args.seed, count=args.samples, lambda_range=(lam, lam))
+    cfg = axioms.SampleConfig(seed=args.seed, count=args.samples)
     results, ok = run_verify(args.target, lam, cfg)
     print(json.dumps(results))
     return 0 if ok else 2

@@ -3,11 +3,13 @@ import math
 from decimal import Decimal, localcontext
 from functools import partial
 
+import numpy as np
 import pytest
 
+from changekit._backend import kernels
 from changekit.axioms import (
+    NORMED_H_FRACTIONS,
     CheckReport,
-    Indicator,
     SampleConfig,
     VIOLATION_FLOOR,
     F_indicator,
@@ -32,6 +34,81 @@ log_ratio_indicator = partial(F_indicator, 1.0)
 
 def cfg(seed=1234, count=2000, **kw):
     return SampleConfig(seed=seed, count=count, **kw)
+
+
+#: Ulps within which both libm and numpy round log, expm1 and pow: glibc
+#: stays within 1 ulp, numpy's SIMD float64 routines within 4.
+ULPS = 4
+EPS = 2.0**-52
+
+
+def normed_ratio_gap(lam, x, y, F, f, diff, bound, ratio):
+    """Bound on how far two evaluations of one normed ratio can differ.
+
+    Each evaluation rounds log, expm1 and pow to within ULPS ulps and every
+    other operation correctly.  To first order in EPS, one evaluation errs by:
+
+    - F = (expm1(u ln y) - expm1(u ln x)) / u with u = 1 - lam, whose terms
+      T_v = expm1(u ln v) cancel.  ln v carries ULPS ulps and u * ln v one
+      more, so the argument is off by (ULPS + 1) EPS |u ln v|, which expm1
+      scales by its derivative v**u; expm1 itself adds ULPS EPS |T_v|.  After
+      the division by u each term contributes
+      EPS ((ULPS + 1) |ln v| v**u + ULPS |T_v| / |u|), and the subtraction
+      and the division add 2 EPS |F|.  At lam = 1 the terms are ln x and
+      ln y, ULPS EPS |ln v| each, plus EPS |F| for the subtraction.  At
+      lam = 0, F = y - x is exact (Sterbenz: x <= y <= 2x).
+    - f = (y - x) / x**lam: y - x is exact; pow and the division add
+      (ULPS + 1) EPS |f|.
+    - diff = |F - f| adds EPS diff.  K h**2 = |lam| h h / xi**(1 + lam)
+      carries (ULPS + 3) EPS relative error, and the ratio's division EPS.
+
+    Two evaluations differ by at most the sum of their errors:
+    2 (err_F + err_f + EPS diff) / (K h**2) + 2 (ULPS + 4) EPS ratio.
+    """
+    if lam == 0.0:
+        err_F = 0.0
+    elif lam == 1.0:
+        err_F = EPS * (ULPS * (abs(math.log(x)) + abs(math.log(y))) + abs(F))
+    else:
+        u = 1.0 - lam
+        terms = sum(
+            (ULPS + 1) * abs(math.log(v)) * v**u + ULPS * abs(math.expm1(u * math.log(v))) / abs(u)
+            for v in (x, y)
+        )
+        err_F = EPS * (terms + 2 * abs(F))
+    err_f = (ULPS + 1) * EPS * abs(f)
+    return 2 * (err_F + err_f + EPS * diff) / bound + 2 * (ULPS + 4) * EPS * ratio
+
+
+def reference_normed(c):
+    """The normed check one sample and one h at a time, through the scalar kernels.
+
+    Returns its report and ``normed_ratio_gap`` for every sample, keyed by
+    (x, h).  If a batch check of the same samples errs by at most g_i on
+    sample i, its residual b and this residual a satisfy
+    a - g(a's worst case) <= b <= a + g(b's worst case).
+    """
+    rng = c.rng()
+    lams = rng.uniform(*c.lambda_range, c.count).tolist()
+    xs = np.exp(rng.uniform(math.log(c.value_range[0]), math.log(c.value_range[1]), c.count)).tolist()
+    worst, case, gaps = 0.0, {}, {}
+    for lam, x in zip(lams, xs):
+        for frac in NORMED_H_FRACTIONS:
+            h = x * frac
+            F = kernels.F_scalar(lam, x, x + h)
+            f = kernels.f_scalar(lam, x, x + h)
+            diff = abs(F - f)
+            xi = min(x, x + h) if lam >= -1.0 else max(x, x + h)
+            bound = abs(lam) * h * h / xi ** (1.0 + lam)
+            if bound > 0.0:
+                ratio = diff / bound
+                gaps[x, h] = normed_ratio_gap(lam, x, x + h, F, f, diff, bound, ratio)
+            else:
+                ratio = 0.0 if diff == 0.0 else math.inf
+                gaps[x, h] = 0.0
+            if ratio > worst:
+                worst, case = ratio, {"lambda": lam, "x": x, "h": h}
+    return CheckReport("normed", c.count, worst, case, 1.0), gaps
 
 
 class TestReportsAndConfig:
@@ -65,14 +142,6 @@ class TestReportsAndConfig:
         with pytest.raises(ValidationError):
             SampleConfig(c_range=(0.0, 1.0))
 
-    def test_scalar_fallback_matches_batch(self):
-        lam = 0.6
-        with_batch = f_indicator(lam)
-        scalar_only = Indicator("f-scalar", with_batch.fn)
-        a = check_antisymmetry(scalar_only, cfg(count=200))
-        b = check_antisymmetry(with_batch, cfg(count=200))
-        assert a.max_residual == b.max_residual
-
 
 class TestAffineLinearity:
     @pytest.mark.parametrize("lam", LAMBDA_MATRIX)
@@ -99,7 +168,7 @@ class TestNaturality:
         assert check_naturality(F_indicator(lam), cfg()).passed
 
     def test_squared_difference_fails(self):
-        squared = Indicator("sqdiff", lambda x, y: (y - x) ** 2)
+        squared = lambda x, y: (y - x) ** 2
         report = check_naturality(squared, cfg(count=500))
         assert not report.passed
         assert squared(2.0, 1.0) == 1.0  # positive despite a decrease
@@ -112,7 +181,7 @@ class TestRelativeScaling:
         assert check_relative_scaling(F_indicator(lam), cfg()).passed
 
     def test_shifted_abs_fails(self):
-        shifted = Indicator("abs+1", lambda x, y: (y - x) + 1.0)
+        shifted = lambda x, y: (y - x) + 1.0
         report = check_relative_scaling(shifted, cfg(count=500))
         assert not report.passed and report.max_residual > VIOLATION_FLOOR
         # witness from first principles: x=1,y=1,x2=1,y2=2,C=2
@@ -186,10 +255,25 @@ class TestNormed:
                     ctx.prec = 60
                     u = 1 - Decimal(lam)
                     return float((Decimal(y) ** u - Decimal(x) ** u) / u)
-            return Indicator(f"F_decimal[{lam:.4g}]", F)
+            return np.vectorize(F, otypes=[float])
 
         report = check_normed(decimal_F, f_indicator, cfg(count=200, lambda_range=(-20.0, -20.0)))
         assert report.passed, report.to_dict()
+
+    @pytest.mark.parametrize("lam", (-20.0, -1.5, -1.0, 0.0, 1e-9, 0.25, 0.5, 1.0, 2.0, 5.0, None))
+    def test_batch_matches_scalar_reference(self, lam):
+        # lam None: a lambda per sample, so each batch covers one sample.
+        c = cfg() if lam is None else cfg(lambda_range=(lam, lam))
+        ref, gaps = reference_normed(c)
+        got = check_normed(F_indicator, f_indicator, c)
+        assert got.passed == ref.passed
+        assert got.worst_case.get("lambda") == ref.worst_case.get("lambda")
+
+        def gap(case):
+            return gaps[case["x"], case["h"]] if case else 0.0
+
+        assert ref.max_residual - gap(ref.worst_case) <= got.max_residual
+        assert got.max_residual <= ref.max_residual + gap(got.worst_case)
 
     def test_lambda_zero_exact(self):
         report = check_normed(F_indicator, f_indicator, cfg(count=100, lambda_range=(0.0, 0.0)))

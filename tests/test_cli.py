@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from changekit._backend import kernels
 from changekit.cli import (
     RANK_TIE_REL,
     Dataset,
@@ -367,6 +368,18 @@ class TestVerifyPlanInternals:
         assert ok
         assert [r["property"] for r in results] == [
             "naturality", "relative_scaling", "antisymmetry", "additivity", "normed"]
+
+    def test_no_target_calls_a_scalar_kernel(self, monkeypatch):
+        cfg = SampleConfig(count=200)
+        expected = {t: run_verify(t, 0.5, cfg) for t in ("f", "F", "rel", "abs", "log")}
+
+        def scalar(*args):
+            raise AssertionError("verify called a scalar kernel")
+
+        monkeypatch.setattr(kernels, "f_scalar", scalar)
+        monkeypatch.setattr(kernels, "F_scalar", scalar)
+        for target, result in expected.items():
+            assert run_verify(target, 0.5, cfg) == result
 
     def test_unknown_target(self):
         with pytest.raises(ValidationError):
