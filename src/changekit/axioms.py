@@ -8,21 +8,24 @@ function of arrays, such as ``lambda x, y: y - x``.  There is one
 evaluation path: every checker, ``check_normed`` included, evaluates whole
 sample arrays and never calls an indicator one pair at a time.
 
-Each checker samples inputs from a SampleConfig, evaluates the residual of
-one identity and reports the worst case.  Residuals of the exact
-identities are normalized by max(1, |reference|): relative where the
-reference magnitude exceeds one, absolute below.  ``check_normed`` reports
-the ratio of |F - f| to its Lagrange remainder bound instead.  The checkers
-only ever assert the forward direction (a family satisfies an axiom) or
-exhibit a violating sample (a competitor fails one); no function-space
-search is attempted.
+Each checker draws its inputs from a SampleConfig through one sampling
+path: a fresh generator for the seed, then log-uniform arrays over
+VALUE_RANGE in a fixed order.  It evaluates the residual of one identity
+and reports the worst case.  Residuals of the exact identities are
+normalized by max(1, |reference|): relative where the reference magnitude
+exceeds one, absolute below.  ``check_normed`` reports the ratio of
+|F - f| to its Lagrange remainder bound instead.  The checkers only ever
+assert the forward direction (a family satisfies an axiom) or exhibit a
+violating sample (a competitor fails one); no function-space search is
+attempted.
 
 All checkers are pure given their config: the sample stream is a function
-of the seed alone, so repeat runs produce bit-identical reports.
+of the seed alone, so repeat runs produce bit-identical reports.  A report
+serializes a non-finite float (an overflowed residual or value) as None,
+so its JSON stays strict.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -38,33 +41,28 @@ TOLERANCE = 1e-9
 #: A failure demonstration must exceed this residual to count as a violation.
 VIOLATION_FLOOR = 1e-6
 
+#: Pair coordinates and scale factors C are drawn log-uniformly from this
+#: range to exercise scale extremes: the axioms quantify over all positive
+#: reals, so scale coverage matters more than density.
+VALUE_RANGE = (1e-3, 1e3)
+
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Sampling plan for one check.
-
-    Pair coordinates are drawn log-uniformly from ``value_range`` so scale
-    extremes are exercised; the axioms quantify over all positive reals, so
-    scale coverage matters more than density.
+    """Sampling plan for one check: the generator's seed, the number of
+    samples, and the range ``check_normed`` draws lambda from.  Every other
+    sampled quantity lies in VALUE_RANGE.
     """
 
     seed: int = 20260824
     count: int = 10_000
-    value_range: tuple[float, float] = (1e-3, 1e3)
     lambda_range: tuple[float, float] = (-2.0, 3.0)
-    c_range: tuple[float, float] = (1e-3, 1e3)
 
     def __post_init__(self):
         if self.count < 1:
             raise ValidationError(f"sample count must be positive, got {self.count}")
-        lo, hi = self.value_range
-        if not (0 < lo <= hi):
-            raise ValidationError(f"value_range must satisfy 0 < lo <= hi, got {self.value_range}")
         if self.lambda_range[0] > self.lambda_range[1]:
             raise ValidationError(f"lambda_range is empty: {self.lambda_range}")
-        clo, chi = self.c_range
-        if not (0 < clo <= chi):
-            raise ValidationError(f"c_range must satisfy 0 < lo <= hi, got {self.c_range}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -87,16 +85,18 @@ class CheckReport:
         self.passed = bool(self.max_residual <= self.tolerance)
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready values; a non-finite float becomes None."""
         return {
             "property": self.property_name,
             "samples": self.samples,
-            "max_residual": self.max_residual,
-            "worst_case": self.worst_case,
+            "max_residual": _finite_or_none(self.max_residual),
+            "worst_case": {k: _finite_or_none(v) for k, v in self.worst_case.items()},
             "pass": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+
+def _finite_or_none(v: float) -> float | None:
+    return v if math.isfinite(v) else None
 
 
 #: An indicator under test: sample arrays (xs, ys) -> values, total on the
@@ -124,10 +124,18 @@ def F_indicator(lam: float) -> BatchFn:
     return F
 
 
-def _log_uniform(rng, lo: float, hi: float, n: int) -> np.ndarray:
-    if lo == hi:
-        return np.full(n, lo)
+def _log_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
+    lo, hi = VALUE_RANGE
     return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+
+def _sample(cfg: SampleConfig, k: int) -> tuple:
+    """A fresh generator for ``cfg`` and the first k log-uniform arrays it draws.
+
+    Draws after these k continue from the returned generator.
+    """
+    rng = cfg.rng()
+    return rng, *(_log_uniform(rng, cfg.count) for _ in range(k))
 
 
 def _worst(residuals: np.ndarray, **columns: np.ndarray) -> tuple[float, dict]:
@@ -141,19 +149,14 @@ def _norm(reference: np.ndarray) -> np.ndarray:
 
 def check_affine_linearity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, (1-t)*y1 + t*y2) = (1-t)*f(x, y1) + t*f(x, y2)."""
-    rng = cfg.rng()
-    lo, hi = cfg.value_range
-    n = cfg.count
-    x = _log_uniform(rng, lo, hi, n)
-    y1 = _log_uniform(rng, lo, hi, n)
-    y2 = _log_uniform(rng, lo, hi, n)
-    t = rng.uniform(0.0, 1.0, n)
+    rng, x, y1, y2 = _sample(cfg, 3)
+    t = rng.uniform(0.0, 1.0, cfg.count)
     ym = (1.0 - t) * y1 + t * y2
     lhs = ind(x, ym)
     rhs = (1.0 - t) * ind(x, y1) + t * ind(x, y2)
     res = np.abs(lhs - rhs) / _norm(rhs)
     worst, case = _worst(res, x=x, y1=y1, y2=y2, t=t)
-    return CheckReport("affine_linearity", n, worst, case, TOLERANCE)
+    return CheckReport("affine_linearity", cfg.count, worst, case, TOLERANCE)
 
 
 def check_naturality(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
@@ -164,12 +167,8 @@ def check_naturality(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     spuriously-zero value (floored at 1 so silent zeros still register),
     and |f(x, x)| at stagnation.  Tolerance is exact zero.
     """
-    rng = cfg.rng()
-    lo, hi = cfg.value_range
-    n = cfg.count
-    x = _log_uniform(rng, lo, hi, n)
-    y = _log_uniform(rng, lo, hi, n)
-    n_stag = max(1, n // 10)
+    _, x, y = _sample(cfg, 2)
+    n_stag = max(1, cfg.count // 10)
     y[:n_stag] = x[:n_stag]
     v = ind(x, y)
     res = np.where(
@@ -180,68 +179,47 @@ def check_naturality(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     if not np.all(np.isfinite(v)):
         res = np.where(np.isfinite(v), res, np.inf)
     worst, case = _worst(res, x=x, y=y, value=v)
-    return CheckReport("naturality", n, worst, case, 0.0)
+    return CheckReport("naturality", cfg.count, worst, case, 0.0)
 
 
 def check_relative_scaling(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) * f(C*x2, C*y2) = f(x2, y2) * f(C*x, C*y) for all C > 0."""
-    rng = cfg.rng()
-    lo, hi = cfg.value_range
-    n = cfg.count
-    x = _log_uniform(rng, lo, hi, n)
-    y = _log_uniform(rng, lo, hi, n)
-    x2 = _log_uniform(rng, lo, hi, n)
-    y2 = _log_uniform(rng, lo, hi, n)
-    c = _log_uniform(rng, *cfg.c_range, n)
+    _, x, y, x2, y2, c = _sample(cfg, 5)
     lhs = ind(x, y) * ind(c * x2, c * y2)
     rhs = ind(x2, y2) * ind(c * x, c * y)
     res = np.abs(lhs - rhs) / _norm(lhs)
     worst, case = _worst(res, x=x, y=y, x2=x2, y2=y2, C=c)
-    return CheckReport("relative_scaling", n, worst, case, TOLERANCE)
+    return CheckReport("relative_scaling", cfg.count, worst, case, TOLERANCE)
 
 
 def check_vartia_invariance(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """Full scale invariance f(C*x, C*y) = f(x, y) (the axiom relaxed for f_lam)."""
-    rng = cfg.rng()
-    lo, hi = cfg.value_range
-    n = cfg.count
-    x = _log_uniform(rng, lo, hi, n)
-    y = _log_uniform(rng, lo, hi, n)
-    c = _log_uniform(rng, *cfg.c_range, n)
+    _, x, y, c = _sample(cfg, 3)
     base = ind(x, y)
     scaled = ind(c * x, c * y)
     res = np.abs(scaled - base) / _norm(base)
     worst, case = _worst(res, x=x, y=y, C=c)
-    return CheckReport("vartia_invariance", n, worst, case, TOLERANCE)
+    return CheckReport("vartia_invariance", cfg.count, worst, case, TOLERANCE)
 
 
 def check_antisymmetry(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) = -f(y, x)."""
-    rng = cfg.rng()
-    lo, hi = cfg.value_range
-    n = cfg.count
-    x = _log_uniform(rng, lo, hi, n)
-    y = _log_uniform(rng, lo, hi, n)
+    _, x, y = _sample(cfg, 2)
     fwd = ind(x, y)
     bwd = ind(y, x)
     res = np.abs(fwd + bwd) / _norm(fwd)
     worst, case = _worst(res, x=x, y=y)
-    return CheckReport("antisymmetry", n, worst, case, TOLERANCE)
+    return CheckReport("antisymmetry", cfg.count, worst, case, TOLERANCE)
 
 
 def check_additivity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) + f(y, z) = f(x, z) over chained transitions."""
-    rng = cfg.rng()
-    lo, hi = cfg.value_range
-    n = cfg.count
-    x = _log_uniform(rng, lo, hi, n)
-    y = _log_uniform(rng, lo, hi, n)
-    z = _log_uniform(rng, lo, hi, n)
+    _, x, y, z = _sample(cfg, 3)
     lhs = ind(x, y) + ind(y, z)
     rhs = ind(x, z)
     res = np.abs(lhs - rhs) / _norm(rhs)
     worst, case = _worst(res, x=x, y=y, z=z)
-    return CheckReport("additivity", n, worst, case, TOLERANCE)
+    return CheckReport("additivity", cfg.count, worst, case, TOLERANCE)
 
 
 #: Relative step sizes for the shrinking-h normed check.
@@ -267,7 +245,7 @@ def check_normed(
     rng = cfg.rng()
     n = cfg.count
     lams = rng.uniform(*cfg.lambda_range, n)
-    xs = _log_uniform(rng, *cfg.value_range, n)
+    xs = _log_uniform(rng, n)
     h = xs[:, None] * np.array(NORMED_H_FRACTIONS)
     x = np.broadcast_to(xs[:, None], h.shape)
     y = x + h

@@ -1,5 +1,4 @@
 import io
-import json
 import math
 import shlex
 from pathlib import Path
@@ -170,14 +169,14 @@ class TestRendering:
         for label, _, value, _ in reports:
             assert reparsed[label] == value  # bit-exact
 
-    def test_json_deterministic(self):
+    def test_json_deterministic(self, strict_json):
         bufs = []
         for _ in range(2):
             buf = io.StringIO()
             render_reports(self._reports(), OutputFormat("json", 15), "f", 0.5, buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
-        data = json.loads(bufs[0])
+        data = strict_json(bufs[0])
         assert list(data[0]) == ["label", "past", "present", "abs", "rel", "indicator", "rank"]
 
     def test_precision_bounds(self):
@@ -224,28 +223,28 @@ class TestCommands:
         code, _, err = run_cli(capsys, "calibrate", "--ref", "2,2", "--cmp", "1,2")
         assert code == 1 and "StagnantPair" in err
 
-    def test_verify_f_passes(self, capsys):
+    def test_verify_f_passes(self, capsys, strict_json):
         code, out, _ = run_cli(capsys, "verify", "--target", "f", "--lambda", "0.5",
                                "--samples", "2000")
         assert code == 0
-        reports = json.loads(out)
+        reports = strict_json(out)
         names = [r["property"] for r in reports]
         assert names == ["affine_linearity", "naturality", "relative_scaling", "vartia_invariance"]
         assert [r["expected"] for r in reports] == ["pass", "pass", "pass", "fail"]
         assert all(r["pass"] for r in reports[:3])
         assert not reports[3]["pass"]
 
-    def test_verify_f_at_lambda_one_expects_vartia(self, capsys):
+    def test_verify_f_at_lambda_one_expects_vartia(self, capsys, strict_json):
         code, out, _ = run_cli(capsys, "verify", "--target", "f", "--lambda", "1",
                                "--samples", "2000")
         assert code == 0
-        reports = json.loads(out)
+        reports = strict_json(out)
         assert reports[3]["expected"] == "pass" and reports[3]["pass"]
 
-    def test_verify_rel_reports_expected_failures(self, capsys):
+    def test_verify_rel_reports_expected_failures(self, capsys, strict_json):
         code, out, _ = run_cli(capsys, "verify", "--target", "rel", "--samples", "2000")
         assert code == 0
-        by_name = {r["property"]: r for r in json.loads(out)}
+        by_name = {r["property"]: r for r in strict_json(out)}
         assert not by_name["antisymmetry"]["pass"]
         assert not by_name["additivity"]["pass"]
         assert by_name["antisymmetry"]["worst_case"]  # concrete stored witness
@@ -351,14 +350,32 @@ class TestCommands:
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("target", ["rel", "abs", "log"])
-def test_verify_classical_target_matches_golden(capsys, monkeypatch, target):
-    # The classical targets are the families' endpoints; the golden files
-    # pin their reports byte for byte.
+@pytest.mark.parametrize("target", ["rel", "abs", "log", "f", "F"])
+def test_verify_target_matches_golden(capsys, monkeypatch, target):
+    # The golden files pin each target's reports byte for byte, and with
+    # them every checker's sample stream: the classical targets (the
+    # families' endpoints, which take no lambda) and both families at 0.5.
     monkeypatch.delenv("CHANGEKIT_SEED", raising=False)
-    code, out, _ = run_cli(capsys, "verify", "--target", target, "--samples", "200")
+    flags = ["--lambda", "0.5"] if target in ("f", "F") else []
+    stem = f"verify_{target}_lam0.5" if flags else f"verify_{target}"
+    code, out, _ = run_cli(capsys, "verify", "--target", target, *flags, "--samples", "200")
     assert code == 0
-    assert out == (GOLDEN / f"verify_{target}_samples200.json").read_text()
+    assert out == (GOLDEN / f"{stem}_samples200.json").read_text()
+
+
+@pytest.mark.parametrize("lam", ["-60", "60", "150"])
+@pytest.mark.parametrize("target", ["f", "F"])
+def test_verify_non_finite_report_is_strict_json(capsys, strict_json, target, lam):
+    # At large |lambda| the kernels overflow, so residuals and worst-case
+    # values go non-finite; they are written as null, never as NaN/Infinity.
+    code, out, _ = run_cli(capsys, "verify", "--target", target, "--lambda", lam,
+                           "--samples", "200")
+    assert code == 2
+    reports = strict_json(out)
+    values = [r["max_residual"] for r in reports]
+    values += [v for r in reports for v in r["worst_case"].values()]
+    assert None in values
+    assert not any(r["pass"] for r in reports if r["max_residual"] is None)
 
 
 class TestVerifyPlanInternals:
