@@ -57,34 +57,29 @@ def taylor_F(lam: float, p: PositivePair, order: int) -> float:
     total = eval_f(lam, p)
     d = p.y - p.x
     d_pow = d
-    rising = 1.0
     for k in range(2, n + 1):
-        rising *= lam + (k - 2)
         d_pow *= d
-        sign = 1.0 if k % 2 == 1 else -1.0
-        total += sign * rising / (math.factorial(k) * p.x ** (k + lam - 1.0)) * d_pow
+        total += taylor_coefficient(lam, k, p.x) * d_pow
     return total
 
 
 def remainder_bound(lam: float, p: PositivePair) -> float:
-    """Global bound lam * (y - x)**2 / min(x, y)**(1 + lam) on |F - f|.
+    """Global bound |lam| * (y - x)**2 / xi**(1 + lam) on |F - f|, for every lam.
 
-    Asserted for lam >= 0 only; for negative lam the expression is negative
-    while the left side is not, so we refuse rather than return a vacuous
-    bound.  (Empirically verified up to lam = 2; lam > 2 is unflagged but
-    unverified territory.)
+    The Lagrange remainder is |lam|/2 * xi**-(1+lam) * (y - x)**2 for some xi
+    between x and y; the bound takes the xi that makes it largest:
+    min(x, y) when 1 + lam >= 0, max(x, y) when 1 + lam < 0.
     """
     lam = check_lambda(lam)
-    if lam < 0:
-        raise DomainError(f"remainder_bound requires lambda >= 0, got {lam}")
-    return lam * (p.y - p.x) ** 2 / min(p.x, p.y) ** (1.0 + lam)
+    xi = min(p.x, p.y) if lam >= -1.0 else max(p.x, p.y)
+    return abs(lam) * (p.y - p.x) ** 2 / xi ** (1.0 + lam)
 
 
 def linearization_residual(lam: float, x: float, h: float) -> float:
     """F(x, x + h) - f(x, x + h).
 
     f is the linearization of y -> F(x, y) at x, so residual / h -> 0 as
-    h -> 0, and |residual| <= remainder_bound for lam >= 0.
+    h -> 0, and |residual| <= remainder_bound(lam, PositivePair(x, x + h)).
     """
     lam = check_lambda(lam)
     p = PositivePair(x, x + h)

@@ -12,8 +12,9 @@ Each checker draws its inputs from a SampleConfig through one sampling
 path: a fresh generator for the seed, then log-uniform arrays over
 VALUE_RANGE in a fixed order.  It evaluates the residual of one identity
 and reports the worst case.  Residuals of the exact identities are
-normalized by max(1, |reference|): relative where the reference magnitude
-exceeds one, absolute below.  ``check_normed`` reports the ratio of
+computed in one place, ``_identity_report``, and normalized by
+max(1, |reference|): relative where the reference magnitude exceeds one,
+absolute below.  ``check_normed`` reports the ratio of
 |F - f| to its Lagrange remainder bound instead.  The checkers only ever
 assert the forward direction (a family satisfies an axiom) or exhibit a
 violating sample (a competitor fails one); no function-space search is
@@ -143,8 +144,13 @@ def _worst(residuals: np.ndarray, **columns: np.ndarray) -> tuple[float, dict]:
     return float(residuals[i]), {k: float(v[i]) for k, v in columns.items()}
 
 
-def _norm(reference: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0, np.abs(reference))
+def _identity_report(
+    name: str, cfg: SampleConfig, lhs: np.ndarray, rhs: np.ndarray, ref: np.ndarray, **columns
+) -> CheckReport:
+    """The report on an exact identity lhs = rhs: residual |lhs - rhs| / max(1, |ref|)."""
+    res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(ref))
+    worst, case = _worst(res, **columns)
+    return CheckReport(name, cfg.count, worst, case, TOLERANCE)
 
 
 def check_affine_linearity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
@@ -154,9 +160,7 @@ def check_affine_linearity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     ym = (1.0 - t) * y1 + t * y2
     lhs = ind(x, ym)
     rhs = (1.0 - t) * ind(x, y1) + t * ind(x, y2)
-    res = np.abs(lhs - rhs) / _norm(rhs)
-    worst, case = _worst(res, x=x, y1=y1, y2=y2, t=t)
-    return CheckReport("affine_linearity", cfg.count, worst, case, TOLERANCE)
+    return _identity_report("affine_linearity", cfg, lhs, rhs, rhs, x=x, y1=y1, y2=y2, t=t)
 
 
 def check_naturality(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
@@ -187,29 +191,22 @@ def check_relative_scaling(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     _, x, y, x2, y2, c = _sample(cfg, 5)
     lhs = ind(x, y) * ind(c * x2, c * y2)
     rhs = ind(x2, y2) * ind(c * x, c * y)
-    res = np.abs(lhs - rhs) / _norm(lhs)
-    worst, case = _worst(res, x=x, y=y, x2=x2, y2=y2, C=c)
-    return CheckReport("relative_scaling", cfg.count, worst, case, TOLERANCE)
+    return _identity_report("relative_scaling", cfg, lhs, rhs, lhs, x=x, y=y, x2=x2, y2=y2, C=c)
 
 
 def check_vartia_invariance(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """Full scale invariance f(C*x, C*y) = f(x, y) (the axiom relaxed for f_lam)."""
     _, x, y, c = _sample(cfg, 3)
     base = ind(x, y)
-    scaled = ind(c * x, c * y)
-    res = np.abs(scaled - base) / _norm(base)
-    worst, case = _worst(res, x=x, y=y, C=c)
-    return CheckReport("vartia_invariance", cfg.count, worst, case, TOLERANCE)
+    return _identity_report("vartia_invariance", cfg, ind(c * x, c * y), base, base, x=x, y=y, C=c)
 
 
 def check_antisymmetry(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) = -f(y, x)."""
     _, x, y = _sample(cfg, 2)
     fwd = ind(x, y)
-    bwd = ind(y, x)
-    res = np.abs(fwd + bwd) / _norm(fwd)
-    worst, case = _worst(res, x=x, y=y)
-    return CheckReport("antisymmetry", cfg.count, worst, case, TOLERANCE)
+    # fwd - (-bwd) is fwd + bwd exactly: negation is exact in IEEE arithmetic.
+    return _identity_report("antisymmetry", cfg, fwd, -ind(y, x), fwd, x=x, y=y)
 
 
 def check_additivity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
@@ -217,9 +214,7 @@ def check_additivity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     _, x, y, z = _sample(cfg, 3)
     lhs = ind(x, y) + ind(y, z)
     rhs = ind(x, z)
-    res = np.abs(lhs - rhs) / _norm(rhs)
-    worst, case = _worst(res, x=x, y=y, z=z)
-    return CheckReport("additivity", cfg.count, worst, case, TOLERANCE)
+    return _identity_report("additivity", cfg, lhs, rhs, rhs, x=x, y=y, z=z)
 
 
 #: Relative step sizes for the shrinking-h normed check.

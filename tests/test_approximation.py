@@ -1,5 +1,6 @@
 import io
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -124,6 +125,21 @@ class TestTaylorSeries:
             v = taylor_F(lam, PositivePair(x, x * (1 + r)), 6)
             assert math.copysign(1, v) == math.copysign(1, r)
 
+    def test_bits_pinned(self):
+        # float.hex values written by the incremental-coefficient loop that
+        # taylor_F replaced; summing taylor_coefficient must give the same bits.
+        cases = [
+            (0.5, 3.0, 5.0, 4, "0x1.ffd4eaa39add6p-1"),
+            (-1.5, 2.0, 2.5, 64, "0x1.b0aabef231e3cp+0"),
+            (2.0, 10.0, 7.0, 64, "-0x1.5f15f15f15f17p-5"),
+            (1.0, 1.0, 1.1, 6, "0x1.8663f40cf44c5p-4"),
+            (0.25, 100.0, 110.0, 16, "0x1.8fe95d0f24c3ep+1"),
+            (-0.75, 0.3, 0.2, 9, "-0x1.21445003a2260p-5"),
+            (-20.0, 5.0, 5.5, 64, "0x1.0859612964040p+47"),
+        ]
+        for lam, x, y, order, bits in cases:
+            assert taylor_F(lam, PositivePair(x, y), order).hex() == bits
+
     def test_order_out_of_range(self):
         with pytest.raises(DomainError):
             taylor_F(0.5, PositivePair(1, 2), 0)
@@ -153,9 +169,25 @@ class TestRemainderBound:
             gap = abs(eval_F(lam, p) - eval_f(lam, p))
             assert gap <= remainder_bound(lam, p)
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(DomainError):
-            remainder_bound(-0.5, PositivePair(1, 2))
+    def test_bound_holds_for_every_lambda_against_decimal(self):
+        # |F - f| in 80-digit decimal, not through the kernels: below
+        # lambda = 0 their F cancels when y is near x.  80 digits hold every
+        # input exactly, so at lambda = 0 the gap is exactly 0, as the bound.
+        def exact_gap(lam, x, y):
+            lam, x, y = Decimal(lam), Decimal(x), Decimal(y)
+            u = 1 - lam
+            F = y.ln() - x.ln() if u == 0 else (y**u - x**u) / u
+            return abs(F - (y - x) / x**lam)
+
+        lams = [float(v) for v in np.linspace(-20.0, 20.0, 41)] + [-1.5, -0.5, 0.5, 1e-9]
+        ratios = [float(r) for r in np.exp(np.linspace(-3.0, 3.0, 13))]
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for lam in lams:
+                for x in (0.0625, 8.0):
+                    for r in ratios:
+                        p = PositivePair(x, x * r)
+                        assert exact_gap(lam, p.x, p.y) <= Decimal(remainder_bound(lam, p))
 
 
 class TestLinearization:

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import shlex
@@ -157,6 +158,14 @@ class TestRendering:
         lines = buf.getvalue().split("\n")
         assert lines[0] == "label,past,present,abs,rel,indicator,rank"
         assert lines[1] == "V,80.00,135.00,55.00,0.69,6.15,1"
+
+    def test_csv_quotes_labels(self):
+        ds = parse_csv(io.StringIO('label,past,present\n"north, east",10,20\n"say ""hi""",5,6\n'))
+        buf = io.StringIO()
+        render_reports(rank_dataset(ds, 0.5), OutputFormat("csv", 2), "f", 0.5, buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert all(len(row) == 7 for row in rows)
+        assert sorted(row[0] for row in rows[1:]) == ["north, east", 'say "hi"']
 
     def test_csv_full_precision_round_trips(self):
         reports = self._reports()
@@ -350,14 +359,19 @@ class TestCommands:
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("target", ["rel", "abs", "log", "f", "F"])
-def test_verify_target_matches_golden(capsys, monkeypatch, target):
+@pytest.mark.parametrize(
+    "target, lam",
+    [("rel", None), ("abs", None), ("log", None), ("f", "0.5"), ("F", "0.5"), ("F", "0"), ("F", "-1")],
+    ids=["rel", "abs", "log", "f", "F", "F-lam0", "F-lam-1"],
+)
+def test_verify_target_matches_golden(capsys, monkeypatch, target, lam):
     # The golden files pin each target's reports byte for byte, and with
     # them every checker's sample stream: the classical targets (the
-    # families' endpoints, which take no lambda) and both families at 0.5.
+    # families' endpoints, which take no lambda), both families at 0.5, and
+    # F's lambda = 0 branch and a negative lambda.
     monkeypatch.delenv("CHANGEKIT_SEED", raising=False)
-    flags = ["--lambda", "0.5"] if target in ("f", "F") else []
-    stem = f"verify_{target}_lam0.5" if flags else f"verify_{target}"
+    flags = ["--lambda", lam] if lam is not None else []
+    stem = f"verify_{target}_lam{lam}" if flags else f"verify_{target}"
     code, out, _ = run_cli(capsys, "verify", "--target", target, *flags, "--samples", "200")
     assert code == 0
     assert out == (GOLDEN / f"{stem}_samples200.json").read_text()
