@@ -8,11 +8,14 @@ flags produce byte-identical output (including JSON key order).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
+from math import inf
 from typing import Iterable, Sequence, TextIO
 
 from . import approximation, axioms, calibration, core, elasticity
@@ -78,6 +81,8 @@ def parse_csv(stream: Iterable[str], source: str = "<stdin>") -> Dataset:
         label = row[0].strip()
         if not label:
             raise ValidationError(f"{source}:{lineno}: empty label")
+        if "\r" in label or "\n" in label:
+            raise ValidationError(f"{source}:{lineno}: label {label!r} holds a line break")
         if label in seen:
             raise ValidationError(f"{source}:{lineno}: duplicate label {label!r}")
         values = []
@@ -117,25 +122,14 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     labels, pairs = ds.labels, ds.pairs
     values = [evaluate(lam, p) for p in pairs]
     rows = []
-    rank = 0
-    head = None
+    rank, head, band = 0, inf, 0.0
     for i in sorted(range(len(values)), key=lambda i: (-values[i], labels[i])):
         value = values[i]
-        if head is None or head - value > RANK_TIE_REL * max(1.0, abs(head)):
+        if head - value > band:
             rank += 1
-            head = value
+            head, band = value, RANK_TIE_REL * max(1.0, abs(value))
         rows.append((labels[i], pairs[i], value, rank))
     return rows
-
-
-def _fmt_num(v: float, precision: int) -> str:
-    if precision >= FULL_PRECISION:
-        return repr(float(v))
-    return format(v, f".{precision}f")
-
-
-def _indicator_column(indicator: str, lam: float) -> str:
-    return f"{indicator}_{lam:.4g}"
 
 
 def render_reports(
@@ -148,10 +142,9 @@ def render_reports(
 ) -> None:
     """Write ranked rows as a table, csv or json; ``unit`` is a table footnote."""
     p = fmt.precision
+    full = p >= FULL_PRECISION
     if fmt.kind == "json":
-        def num(v: float):
-            return float(v) if p >= FULL_PRECISION else round(v, p)
-
+        num = float if full else partial(round, ndigits=p)
         payload = [
             {
                 "label": label,
@@ -167,29 +160,34 @@ def render_reports(
         out.write(json.dumps(payload) + "\n")
         return
     table = fmt.kind == "table"
+    text = repr if full else f"{{:.{p}f}}".format
+    # The table's rel cell is a percentage at every precision.
+    rel_text = f"{{:.{p}%}}".format if table else text
     cells = (
         [
             label,
-            _fmt_num(pair.x, p),
-            _fmt_num(pair.y, p),
-            _fmt_num(core.abs_change(pair), p),
-            f"{core.rel_change(pair) * 100:.{p}f}%" if table else _fmt_num(core.rel_change(pair), p),
-            _fmt_num(value, p),
+            text(pair.x),
+            text(pair.y),
+            text(core.abs_change(pair)),
+            rel_text(core.rel_change(pair)),
+            text(value),
             str(rank),
         ]
         for label, pair, value, rank in rows
     )
     if not table:
-        # The writer quotes a label that holds a comma, a quote or a "\n".
+        # The writer quotes a label that holds a comma or a quote.  It would
+        # leave a "\r" unquoted, so parse_csv refuses line breaks in labels.
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["label", "past", "present", "abs", "rel", "indicator", "rank"])
         writer.writerows(cells)
         return
     cells = list(cells)  # the column widths need every row
-    headers = ["label", "past", "present", "abs", "rel", _indicator_column(indicator, lam), "rank"]
+    headers = ["label", "past", "present", "abs", "rel", f"{indicator}_{lam:.4g}", "rank"]
     widths = [max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths)
     for row in (headers, *cells):
-        out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+        out.write(line.format(*row).rstrip() + "\n")
     if unit:
         # Units are metadata only; the indicator value notionally carries
         # the unit raised to the (1 - lambda) power.
@@ -303,11 +301,14 @@ def run_verify(target: str, lam: float, cfg: axioms.SampleConfig) -> tuple[list[
 
 def _cmd_rank(args) -> int:
     fmt = OutputFormat(args.format, args.precision)
-    if args.input == "-":
-        ds = parse_csv(sys.stdin, "<stdin>")
-    else:
-        with open(args.input, "r", encoding="utf-8", newline="") as fh:
-            ds = parse_csv(fh, args.input)
+    stdin = args.input == "-"
+    source = "<stdin>" if stdin else args.input
+    try:
+        with (contextlib.nullcontext(sys.stdin) if stdin
+              else open(args.input, "r", encoding="utf-8", newline="")) as fh:
+            ds = parse_csv(fh, source)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{source}: cannot read: {exc}") from None
     rows = rank_dataset(ds, args.lam, args.indicator)
     render_reports(rows, fmt, args.indicator, args.lam, sys.stdout, unit=args.unit_label)
     return 0
@@ -375,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_lambda(p, default=DEFAULT_LAMBDA):
         p.add_argument("--lambda", dest="lam", type=float, default=default,
-                       help=f"interpolation parameter (default {default})")
+                       help=f"interpolation parameter (default {default}); write a negative "
+                            "exponent form with '=', as in --lambda=-1e-12")
 
     p_rank = sub.add_parser("rank", help="rank a CSV of labeled observations")
     p_rank.add_argument("input", help="CSV path, or '-' for standard input")

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from changekit.cli import (
     RANK_TIE_REL,
     Dataset,
     OutputFormat,
+    build_parser,
     main,
     parse_csv,
     rank_dataset,
@@ -354,6 +356,92 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["verify"])  # missing required --target
         assert exc.value.code == 1
+
+
+#: Inputs at the edges of `rank`'s CSV contract: file bytes (None for a path
+#: that does not exist, "dir" for a directory), exit code, and the start of
+#: the error line after "error: " (None on success).
+RANK_INPUTS = {
+    "missing-path": (None, 1, "ParseError: {path}: cannot read: "),
+    "directory": ("dir", 1, "ParseError: {path}: cannot read: "),
+    "not-utf8": (b"label,past,present\nA,1,2\n\xff,3,4\n", 1, "ParseError: {path}: cannot read: "),
+    "bom": (b"\xef\xbb\xbflabel,past,present\nA,1,2\n", 1,
+            "ParseError: {path}:1: expected header"),
+    "cr-label": (b'label,past,present\nc,1,2\n"a\rb",10,20\n', 1,
+                 "ValidationError: {path}:3: label 'a\\rb' holds a line break"),
+    "lf-label": (b'label,past,present\n"a\nb",10,20\nc,1,2\n', 1,
+                 "ValidationError: {path}:2: label 'a\\nb' holds a line break"),
+    "comma-quote-labels": (b'label,past,present\n"north, east",10,20\n"say ""hi""",5,6\n', 0, None),
+    "blank-lines": (b"label,past,present\n\nA,1,2\n  \n\nB,3,5\n", 0, None),
+    "duplicate-labels": (b"label,past,present\nA,1,2\nA,2,3\n", 1,
+                         "ValidationError: {path}:3: duplicate label 'A'"),
+    "oversized-field": (b"label,past,present\n" + b"x" * (csv.field_size_limit() + 1) + b",1,2\n",
+                        1, "ParseError: {path}: cannot read: field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("kind", ["table", "csv", "json"])
+@pytest.mark.parametrize("case", sorted(RANK_INPUTS))
+def test_rank_input_contract(capsys, tmp_path, strict_json, case, kind):
+    content, expected_code, error = RANK_INPUTS[case]
+    path = tmp_path / "in.csv"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "rank", str(path), "--format", kind)
+    assert "Traceback" not in err
+    assert code == expected_code
+    if error is not None:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: " + error.format(path=path))
+        return
+    assert err == ""
+    if kind == "json":
+        assert len(strict_json(out)) == 2
+    elif kind == "csv":
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) == 3 and all(len(row) == 7 for row in rows)
+
+
+def test_rank_stdin_not_utf8_is_parse_error(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"label,past,present\n\xff,1,2\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "rank", "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ParseError: <stdin>: cannot read: ")
+
+
+#: One argv per subcommand that takes --lambda, without the option itself.
+LAMBDA_COMMANDS = {
+    "rank": ["rank", "data.csv"],
+    "compare": ["compare", "--ref", "1,2", "--cmp", "3,4"],
+    "verify": ["verify", "--target", "f"],
+    "elasticity": ["elasticity", "--fn", "power:A=5,k=0.3", "--x", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LAMBDA_COMMANDS))
+def test_lambda_exponent_form_with_equals_sign(command):
+    args = build_parser().parse_args([*LAMBDA_COMMANDS[command], "--lambda=-1e-12"])
+    assert args.lam == -1e-12
+
+
+@pytest.mark.parametrize("command", sorted(LAMBDA_COMMANDS))
+def test_lambda_spaced_exponent_form(capsys, command):
+    # argparse on Python 3.10 and 3.11 reads only -1 and -1.5 style values as
+    # negative numbers, so "-1e-12" looks like an option there: a usage error.
+    try:
+        args = build_parser().parse_args([*LAMBDA_COMMANDS[command], "--lambda", "-1e-12"])
+    except SystemExit as exc:
+        err = capsys.readouterr().err
+        assert exc.code == 1
+        assert err.startswith(f"usage: changekit {command}")
+        assert "--lambda: expected one argument" in err
+        assert "Traceback" not in err
+    else:  # an argparse that reads exponent forms as numbers
+        assert args.lam == -1e-12
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

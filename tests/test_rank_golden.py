@@ -90,6 +90,18 @@ SEEDED_SHA256 = {
         "09c38941c113b0127cbf09ae286c72867ec8003daccd79810b0c976b88844c48",
     ("F", "2", "table", "2"):
         "c0fd5b4abf62bb8c1d9bbf8f354bcb8939bac1a6c2982db97b35131320a53b59",
+    ("f", "0.5", "table", "0"):
+        "f295c347551a09dd9f97c6ccdcdedcb9fe948d5731c2ed53fba27657e7b8f746",
+    ("F", "1", "csv", "0"):
+        "38effab0a5907da58dea3fa173f1587227feee1f22378d0f458aa02f5eb93f9e",
+    ("f", "2", "json", "0"):
+        "37d82166179e3a11e25d88a6a6dfca98c0c364292ca4fbdc8f822003cfe57284",
+    ("F", "0.5", "table", "7"):
+        "24438131203168f5e0536a0df5349aa2a9da3471a0e63a48e80577ec179809fb",
+    ("f", "1", "csv", "7"):
+        "991d5ffa057f000548f383e2745ac1548dd38c9e0230c2038d5767615f0e1d44",
+    ("F", "-1", "json", "7"):
+        "db2e474aebd9752dcccd28f705743a03d50f1ff98a872ba6848ed3c4d7fd4038",
 }
 
 
