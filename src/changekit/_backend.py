@@ -1,5 +1,6 @@
-# The package has one kernel module.  These two names stay for callers of
-# `_backend.kernels` and for `changekit.BACKEND`, which reports it.
+# The package has one kernel module, which changekit's modules import
+# directly.  These two names stay for `changekit.BACKEND`, which reports it,
+# and for outside callers of `_backend.kernels`.
 from . import _kernels_py as kernels
 
 BACKEND = "python"

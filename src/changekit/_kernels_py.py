@@ -1,7 +1,10 @@
 """The evaluation kernels of both families, in pure Python and numpy.
 
-Scalar paths use ``math``; batch paths use vectorized numpy and write into
-a caller-supplied ``out`` array.  Non-finite results are left to the callers.
+Each family's formula is written once and takes floats or arrays.  Scalar
+paths call it on floats through ``math``; batch paths call it on arrays
+through numpy and write the result into a caller-supplied ``out`` array,
+through the one adapter ``_many``.  Non-finite results are left to the
+callers.
 
 ``f`` needs no endpoint branch: ``x**0.0 == 1.0`` and ``x**1.0 == x`` are
 exact in IEEE arithmetic, so its one expression returns ``y - x`` at
@@ -9,16 +12,16 @@ lam = 0 and ``(y - x) / x`` at lam = 1 bit for bit.  ``F`` keeps both
 endpoints as branches: at lam = 1 the general form is 0/0, and at lam = 0
 it goes through log and expm1, which do not give back ``y - x`` exactly.
 
-``F`` is written once, in ``_F``, over a (log, expm1) pair: bound to
-``math`` it is ``F_scalar``, bound to numpy it is the batch kernel behind
-``F_many``.  Its lam = 1 branch is the one log-ratio of the package.
+``F`` is written in ``_F`` over a (log, expm1) pair: bound to ``math`` it
+is ``F_scalar``, bound to numpy it is the formula behind ``F_many``.  Its
+lam = 1 branch is the one log-ratio of the package.
 """
 import math
 
 import numpy as np
 
 
-def f_scalar(lam: float, x: float, y: float) -> float:
+def f_scalar(lam, x, y):
     """(y - x) / x**lam."""
     return (y - x) / x**lam
 
@@ -40,15 +43,14 @@ def _F(log, expm1):
     return F
 
 
+def _many(kernel):
+    """The batch form of ``kernel``: its value over arrays, written into ``out``."""
+    def many(lam: float, xs, ys, out) -> None:
+        out[...] = kernel(lam, np.asarray(xs), np.asarray(ys))
+
+    return many
+
+
 F_scalar = _F(math.log, math.expm1)
-_F_array = _F(np.log, np.expm1)
-
-
-def f_many(lam: float, xs, ys, out) -> None:
-    xs = np.asarray(xs)
-    np.subtract(ys, xs, out=out)
-    np.divide(out, xs**lam, out=out)
-
-
-def F_many(lam: float, xs, ys, out) -> None:
-    out[...] = _F_array(lam, np.asarray(xs), np.asarray(ys))
+f_many = _many(f_scalar)
+F_many = _many(_F(np.log, np.expm1))

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .errors import ValidationError
 
 #: Default residual tolerance for the exact identities, adapted to doubles.

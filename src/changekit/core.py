@@ -6,15 +6,15 @@ counterpart, interpolating absolute change (lam = 0) and the log-ratio
 (lam = 1).  The generalization claims hold bitwise at both endpoints, not
 just approximately: ``f``'s by arithmetic alone (``x**0.0 == 1.0`` and
 ``x**1.0 == x``), ``F``'s through branches in the kernel module, because
-its general form is 0/0 at lam = 1 and inexact at lam = 0.  A result that
-is not finite, returned or signalled by the kernel as an overflow or a
-division by zero, raises NumericalError.
+its general form is 0/0 at lam = 1 and inexact at lam = 0.  Both families
+go through one check: a result that is not finite, returned or signalled
+by the kernel as an overflow or a division by zero, raises NumericalError.
 """
 from __future__ import annotations
 
 import math
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .errors import DomainError, NumericalError, StagnantPairError
 from .types import PositivePair, check_lambda
 
@@ -39,16 +39,21 @@ def log_ratio(p: PositivePair) -> float:
     return kernels.F_scalar(1.0, p.x, p.y)
 
 
-def _not_finite(name: str, lam: float, p: PositivePair, cause) -> NumericalError:
-    """The one error for a family value that is not finite.
+def _checked(name: str, kernel, lam: float, x: float, y: float) -> float:
+    """``kernel(lam, x, y)``, or the one NumericalError if it is not finite.
 
-    ``cause`` is the kernel's non-finite value, or the error by which the
-    scalar kernel signalled one: x**lam underflows to 0 (ZeroDivisionError)
-    or overflows (OverflowError).  The kernel call stays inline in eval_f
-    and eval_F: a helper around it would add a Python call to every
-    evaluation, and only the error path needs to be shared.
+    The scalar kernel returns a non-finite value or signals one: x**lam
+    underflows to 0 (ZeroDivisionError) or overflows (OverflowError).
     """
-    return NumericalError(f"{name}[{lam:.4g}]({p.x!r}, {p.y!r}) is not finite: {cause!r}")
+    cause = None
+    try:
+        value = kernel(lam, x, y)
+    except (OverflowError, ZeroDivisionError) as exc:
+        value = cause = exc
+    else:
+        if math.isfinite(value):
+            return value
+    raise NumericalError(f"{name}[{lam:.4g}]({x!r}, {y!r}) is not finite: {value!r}") from cause
 
 
 def eval_f(lam: float, p: PositivePair) -> float:
@@ -57,14 +62,7 @@ def eval_f(lam: float, p: PositivePair) -> float:
     lam = 0 returns abs_change bitwise, lam = 1 returns rel_change bitwise.
     The result carries the (documented, not computed) unit u**(1 - lam).
     """
-    lam = check_lambda(lam)
-    try:
-        value = kernels.f_scalar(lam, p.x, p.y)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _not_finite("f", lam, p, exc) from exc
-    if not math.isfinite(value):
-        raise _not_finite("f", lam, p, value)
-    return value
+    return _checked("f", kernels.f_scalar, check_lambda(lam), p.x, p.y)
 
 
 def eval_F(lam: float, p: PositivePair) -> float:
@@ -74,14 +72,7 @@ def eval_F(lam: float, p: PositivePair) -> float:
     ~1e-12) across lam -> 1 without a switching threshold; lam = 0 returns
     abs_change bitwise.
     """
-    lam = check_lambda(lam)
-    try:
-        value = kernels.F_scalar(lam, p.x, p.y)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _not_finite("F", lam, p, exc) from exc
-    if not math.isfinite(value):
-        raise _not_finite("F", lam, p, value)
-    return value
+    return _checked("F", kernels.F_scalar, check_lambda(lam), p.x, p.y)
 
 
 def cobb_douglas_f(lam: float, p: PositivePair) -> float:
