@@ -36,9 +36,11 @@ def _F(log, expm1):
             return log(y) - log(x)
         # expm1 cancels the O(1) constant terms analytically, so the
         # two-branch formula stays accurate through lam -> 1 without a
-        # switching threshold.
+        # switching threshold.  Adding +0.0 turns the -0.0 of a stagnant
+        # pair at lam > 1 (0.0 / u with u < 0) into +0.0 and leaves every
+        # other value, NaN and inf included, as it is.
         u = 1.0 - lam
-        return (expm1(u * log(y)) - expm1(u * log(x))) / u
+        return (expm1(u * log(y)) - expm1(u * log(x))) / u + 0.0
 
     return F
 

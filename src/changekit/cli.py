@@ -65,6 +65,8 @@ def parse_csv(stream: Iterable[str], source: str = "<stdin>") -> Dataset:
         header = next(reader)
     except StopIteration:
         raise ParseError(f"{source}: empty input, expected header 'label,past,present'")
+    if header:  # a UTF-8 byte-order mark, as spreadsheet exports write it
+        header[0] = header[0].removeprefix("\ufeff")
     normalized = [col.strip().lower() for col in header]
     if normalized != ["label", "past", "present"]:
         raise ParseError(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from changekit._backend import kernels
+from changekit import _kernels_py as kernels
 from changekit.cli import (
     RANK_TIE_REL,
     Dataset,
@@ -365,8 +365,7 @@ RANK_INPUTS = {
     "missing-path": (None, 1, "ParseError: {path}: cannot read: "),
     "directory": ("dir", 1, "ParseError: {path}: cannot read: "),
     "not-utf8": (b"label,past,present\nA,1,2\n\xff,3,4\n", 1, "ParseError: {path}: cannot read: "),
-    "bom": (b"\xef\xbb\xbflabel,past,present\nA,1,2\n", 1,
-            "ParseError: {path}:1: expected header"),
+    "bom": (b"\xef\xbb\xbflabel,past,present\nA,1,2\nB,3,5\n", 0, None),
     "cr-label": (b'label,past,present\nc,1,2\n"a\rb",10,20\n', 1,
                  "ValidationError: {path}:3: label 'a\\rb' holds a line break"),
     "lf-label": (b'label,past,present\n"a\nb",10,20\nc,1,2\n', 1,
@@ -411,6 +410,15 @@ def test_rank_stdin_not_utf8_is_parse_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "rank", "-")
     assert (code, out) == (1, "")
     assert err.startswith("error: ParseError: <stdin>: cannot read: ")
+
+
+def test_rank_stdin_byte_order_mark_is_skipped(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbflabel,past,present\nA,1,2\n"),
+                             encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "rank", "-", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["label", "A"]
 
 
 #: One argv per subcommand that takes --lambda, without the option itself.

@@ -1,11 +1,22 @@
 """The kernel module: batch and scalar paths agree, and the package reports it."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from changekit import BACKEND, EconFunction, elasticity_quotient, quantity_indicator
-from changekit._backend import kernels
+import changekit
+from changekit import (
+    BACKEND,
+    EconFunction,
+    PositivePair,
+    elasticity_quotient,
+    eval_F,
+    quantity_indicator,
+)
+from changekit import _kernels_py as kernels
+from changekit.axioms import F_indicator, f_indicator
 
 
 def sample_inputs(n=500, seed=42):
@@ -63,3 +74,41 @@ def test_f_endpoints_are_the_classical_formulas_bitwise():
                               bits([q_ref(x, y) for x, y in pairs]))
         assert np.array_equal(bits([elasticity_quotient(lam, sqrt, x, h) for x, h in steps]),
                               bits([e_ref(x, h) for x, h in steps]))
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 5.0, 20.0])
+def test_stagnant_F_is_positive_zero(lam):
+    # With u = 1 - lam < 0 the general form divides 0.0 by a negative u.
+    xs = np.array([1e-3, 0.37, 1.0, 42.0, 1e3])
+    out = np.empty(len(xs))
+    kernels.F_many(lam, xs, xs, out)
+    values = [eval_F(lam, PositivePair(x, x)) for x in xs.tolist()] + out.tolist()
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+
+
+@pytest.mark.parametrize("indicator, name", [(f_indicator, "f_many"), (F_indicator, "F_many")])
+def test_indicators_call_the_batch_kernel_when_they_run(monkeypatch, indicator, name):
+    # The indicator looks the kernel up at each call, so a patch made after
+    # it was built still applies.
+    calls = []
+    batch = getattr(kernels, name)
+    fn = indicator(0.5)
+    monkeypatch.setattr(kernels, name, lambda *args: calls.append(args) or batch(*args))
+    xs, ys = sample_inputs(10)
+    out = fn(xs, ys)
+    assert len(calls) == 1 and calls[0][3] is out
+
+
+def test_only_the_package_init_imports_the_backend_shim():
+    importers = []
+    for path in sorted(Path(changekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "_backend" for n in names):
+                importers.append(path.name)
+    assert importers == ["__init__.py"]

@@ -89,7 +89,7 @@ SEEDED_SHA256 = {
     ("F", "-1", "csv", "15"):
         "09c38941c113b0127cbf09ae286c72867ec8003daccd79810b0c976b88844c48",
     ("F", "2", "table", "2"):
-        "c0fd5b4abf62bb8c1d9bbf8f354bcb8939bac1a6c2982db97b35131320a53b59",
+        "f45a1bf6c07b29f26d438a533faf2479f58b7bb848a9d2cc843d321b6b085e5b",
     ("f", "0.5", "table", "0"):
         "f295c347551a09dd9f97c6ccdcdedcb9fe948d5731c2ed53fba27657e7b8f746",
     ("F", "1", "csv", "0"):
