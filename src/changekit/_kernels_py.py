@@ -36,9 +36,9 @@ def _F(log, expm1):
             return log(y) - log(x)
         # expm1 cancels the O(1) constant terms analytically, so the
         # two-branch formula stays accurate through lam -> 1 without a
-        # switching threshold.  Adding +0.0 turns the -0.0 of a stagnant
-        # pair at lam > 1 (0.0 / u with u < 0) into +0.0 and leaves every
-        # other value, NaN and inf included, as it is.
+        # switching threshold.  At lam > 1 a zero difference, as of a
+        # stagnant pair, divided by u < 0 is -0.0; adding +0.0 makes it
+        # +0.0 and leaves every other value, NaN and inf included, as is.
         u = 1.0 - lam
         return (expm1(u * log(y)) - expm1(u * log(x))) / u + 0.0
 

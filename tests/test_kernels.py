@@ -100,15 +100,11 @@ def test_indicators_call_the_batch_kernel_when_they_run(monkeypatch, indicator, 
 
 
 def test_only_the_package_init_imports_the_backend_shim():
-    importers = []
-    for path in sorted(Path(changekit.__file__).parent.glob("*.py")):
+    importers = set()
+    for path in Path(changekit.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            if any(n.split(".")[-1] == "_backend" for n in names):
-                importers.append(path.name)
-    assert importers == ["__init__.py"]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                if any("_backend" in name.split(".") for name in names):
+                    importers.add(path.name)
+    assert importers == {"__init__.py"}
