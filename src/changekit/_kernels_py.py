@@ -1,10 +1,9 @@
 """The evaluation kernels of both families, in pure Python and numpy.
 
-Each family's formula is written once and takes floats or arrays.  Scalar
-paths call it on floats through ``math``; batch paths call it on arrays
-through numpy and write the result into a caller-supplied ``out`` array,
-through the one adapter ``_many``.  Non-finite results are left to the
-callers.
+Each family's formula is written once and takes floats or arrays: scalar
+paths call it on floats, batch paths on arrays, and the one adapter
+``_many`` writes a batch result into a caller-supplied ``out`` array.
+Non-finite results are left to the callers.
 
 ``f`` needs no endpoint branch: ``x**0.0 == 1.0`` and ``x**1.0 == x`` are
 exact in IEEE arithmetic, so its one expression returns ``y - x`` at
