@@ -3,7 +3,7 @@ F and f, the linearization property and the Box-Cox specialization."""
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 from .core import eval_F, eval_f
 from .errors import DomainError
@@ -130,9 +130,3 @@ def curve_table(
     rows = [[y] + [box_cox(lam, y) for lam in lambdas] for y in grid]
     return header, rows
 
-
-def write_curve_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    """Serialize a curve table as CSV with LF line endings and full-precision floats."""
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(repr(v) for v in row) + "\n")

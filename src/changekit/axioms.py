@@ -60,6 +60,8 @@ class SampleConfig:
     lambda_range: tuple[float, float] = (-2.0, 3.0)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.count < 1:
             raise ValidationError(f"sample count must be positive, got {self.count}")
         if self.lambda_range[0] > self.lambda_range[1]:

@@ -79,7 +79,8 @@ def cobb_douglas_f(lam: float, p: PositivePair) -> float:
     """The Cobb-Douglas form rel**lam * abs**(1-lam), equal to eval_f.
 
     Only defined for growth (y > x): for y <= x the expression takes
-    fractional powers of non-positive numbers.
+    fractional powers of non-positive numbers.  A value that is not finite
+    raises NumericalError, as in eval_f.
     """
     lam = check_lambda(lam)
     if p.y <= p.x:
@@ -87,9 +88,10 @@ def cobb_douglas_f(lam: float, p: PositivePair) -> float:
             "cobb_douglas_f requires growth (y > x): fractional powers of the "
             f"non-positive changes of ({p.x}, {p.y}) are undefined over the reals"
         )
-    r = rel_change(p)
-    a = abs_change(p)
-    return r**lam * a ** (1.0 - lam)
+    return _checked(
+        "cobb_douglas_f", lambda lam, x, y: ((y - x) / x) ** lam * (y - x) ** (1.0 - lam),
+        lam, p.x, p.y,
+    )
 
 
 def quantity_indicator(lam: float, x: float, y: float) -> float:

@@ -1,4 +1,3 @@
-import io
 import math
 from decimal import Decimal, localcontext
 
@@ -19,7 +18,7 @@ from changekit import (
     taylor_F,
     taylor_coefficient,
 )
-from changekit.approximation import default_curve_grid, rising_factorial, write_curve_csv
+from changekit.approximation import default_curve_grid, rising_factorial
 
 
 def central_kth_difference(fn, y0, k, step):
@@ -256,11 +255,3 @@ class TestCurveTable:
     def test_rejects_nonpositive_grid(self):
         with pytest.raises(DomainError):
             curve_table(ys=[1.0, -2.0])
-
-    def test_csv_serialization(self):
-        header, rows = curve_table([0.5], ys=[1.0, 4.0])
-        buf = io.StringIO()
-        write_curve_csv(buf, header, rows)
-        lines = buf.getvalue().split("\n")
-        assert lines[0] == "y,F_0.5"
-        assert lines[2].startswith("4.0,2.0")

@@ -147,6 +147,8 @@ class TestReportsAndConfig:
             SampleConfig(count=0)
         with pytest.raises(ValidationError):
             SampleConfig(lambda_range=(2.0, 1.0))
+        with pytest.raises(ValidationError, match="seed"):
+            SampleConfig(seed=-1)
 
 
 class TestAffineLinearity:

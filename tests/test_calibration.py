@@ -7,6 +7,7 @@ from changekit import (
     CalibrationInput,
     DomainError,
     EqualPastValuesError,
+    NumericalError,
     PositivePair,
     SignMismatchError,
     StagnantPairError,
@@ -83,6 +84,12 @@ class TestCalibrateLambda:
         with pytest.raises(SignMismatchError):
             CalibrationInput(PositivePair(1, 2), PositivePair(4, 3))
 
+    def test_non_finite_lambda_is_numerical_error(self):
+        # The quotient of the two absolute changes overflows to inf.
+        inp = CalibrationInput(PositivePair(1, 1 + 2**-52), PositivePair(2, 1e308))
+        with pytest.raises(NumericalError, match="non-finite lambda"):
+            calibrate_lambda(inp)
+
 
 class TestSymmetricScaling:
     def test_half_is_the_symmetric_choice(self):
@@ -120,6 +127,8 @@ class TestSymmetricScaling:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(DomainError):
             symmetric_scaling_residual(0.5, PositivePair(1, 2), 0.0)
+        with pytest.raises(DomainError):
+            scaled_relative_pair(PositivePair(1, 2), 0.0)
 
 
 class TestDoublingExample:

@@ -1,11 +1,17 @@
 import csv
 import io
 import math
+import os
 import shlex
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from changekit import _kernels_py as kernels
 from changekit.cli import (
@@ -108,6 +114,11 @@ class TestRanking:
         reports = rank_dataset(ds, 0.5)
         assert reports[0][3] == 1
 
+    def test_unknown_indicator(self):
+        ds = Dataset(["only"], [PositivePair(3, 4)])
+        with pytest.raises(ValidationError, match="indicator must be 'f' or 'F'"):
+            rank_dataset(ds, 0.5, "g")
+
     def test_dense_ranks_after_tie(self):
         ds = Dataset(
             ["a", "b", "c"],
@@ -195,6 +206,8 @@ class TestRendering:
             OutputFormat("csv", 16)
         with pytest.raises(ValidationError):
             OutputFormat("csv", -1)
+        with pytest.raises(ValidationError, match="unknown output format"):
+            OutputFormat("xml")
 
 
 class TestCommands:
@@ -220,6 +233,15 @@ class TestCommands:
         assert code == 0
         value = float(out.strip().rsplit("=", 1)[1])
         assert value == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("ref, error", [
+        ("1", "expected 'past,present'"),
+        ("a,b", "values must be numbers"),
+    ])
+    def test_compare_bad_pair_exits_one(self, capsys, ref, error):
+        code, out, err = run_cli(capsys, "compare", "--ref", ref, "--cmp", "35,70")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ValidationError: --ref: " + error)
 
     def test_calibrate_success(self, capsys):
         code, out, _ = run_cli(capsys, "calibrate", "--ref", "1,2", "--cmp", "2,4")
@@ -284,6 +306,18 @@ class TestCommands:
         assert code == 0 and err == ""
         assert out.startswith("label")
 
+    @pytest.mark.parametrize("env, flags, seed", [
+        (None, ["--target", "f", "--seed", "-1"], -1),
+        ("-7", ["--target", "F"], -7),
+    ], ids=["flag", "env"])
+    def test_verify_negative_seed_exits_one(self, capsys, monkeypatch, env, flags, seed):
+        monkeypatch.delenv("CHANGEKIT_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("CHANGEKIT_SEED", env)
+        code, out, err = run_cli(capsys, "verify", *flags, "--samples", "50")
+        assert (code, out) == (1, "")
+        assert err == f"error: ValidationError: seed must be non-negative, got {seed}\n"
+
     @pytest.mark.parametrize("kind", ["table", "csv", "json"])
     def test_rank_non_finite_indicator_exits_two(self, capsys, tmp_path, kind):
         # 0.001**105 is subnormal, so f_105 of row a overflows to inf
@@ -342,9 +376,18 @@ class TestCommands:
         value = float(out.strip().split("\n")[-1].split(",")[1])
         assert value == pytest.approx(1.0, rel=1e-15)
 
+    def test_plot_data_csv_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "plot-data", "--lambdas", "0.5",
+                                 "--y-min", "1", "--y-max", "4", "--points", "2")
+        assert (code, out, err) == (0, "y,F_0.5\n1.0,0.0\n4.0,2.0\n", "")
+
     def test_plot_data_invalid_range(self, capsys):
         code, _, err = run_cli(capsys, "plot-data", "--y-min", "-1")
         assert code == 1
+        code, _, err = run_cli(capsys, "plot-data", "--lambdas", ",")
+        assert code == 1 and "at least one lambda is required" in err
+        code, _, err = run_cli(capsys, "plot-data", "--lambdas", "x")
+        assert code == 1 and "bad lambda list" in err
 
     def test_plot_data_single_point_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "plot-data", "--points", "1")
@@ -374,6 +417,7 @@ RANK_INPUTS = {
     "blank-lines": (b"label,past,present\n\nA,1,2\n  \n\nB,3,5\n", 0, None),
     "duplicate-labels": (b"label,past,present\nA,1,2\nA,2,3\n", 1,
                          "ValidationError: {path}:3: duplicate label 'A'"),
+    "blank-label": (b"label,past,present\n ,1,2\n", 1, "ValidationError: {path}:2: empty label"),
     "oversized-field": (b"label,past,present\n" + b"x" * (csv.field_size_limit() + 1) + b",1,2\n",
                         1, "ParseError: {path}: cannot read: field larger than field limit"),
 }
@@ -535,3 +579,134 @@ def test_readme_command_runs(capsys, monkeypatch, tmp_path, line):
     code, out, err = run_cli(capsys, *shlex.split(line)[1:])
     assert code == 0, err
     assert out
+
+
+# -- the CLI contract under generated input ------------------------------------
+
+#: Number arguments in every notation, valid or not.
+NUMBER_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map("{:e}".format),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e308", "1e309", "-0", "-1e-12", "5e-324",
+                     "0x10", "1_000", " 3 ", "", "abc"]),
+)
+
+
+def _mostly(valid, edge):
+    """``valid`` three times in four, else ``edge``: most inputs then get past
+    the first check, so that the later ones run too."""
+    return st.sampled_from([valid, valid, valid, edge]).flatmap(lambda strategy: strategy)
+
+
+POSITIVE_TEXTS = _mostly(st.floats(1e-3, 1e3).map(repr), NUMBER_TEXTS)
+LAMBDA_TEXTS = _mostly(st.floats(-3, 3).map(repr), NUMBER_TEXTS)
+INPUT = "<input>"  # rank's positional argument, replaced by the test
+
+
+def _option(name, values, required=False):
+    """A ``name value`` option, written as ``name=value`` or as two words; an
+    optional one is sometimes left out."""
+    def spell(value, joined):
+        return [f"{name}={value}"] if joined else [name, value]
+    spelled = st.builds(spell, values, st.booleans())
+    return spelled if required else st.one_of(st.just([]), spelled)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["rank", "compare", "calibrate", "verify", "elasticity",
+                                    "plot-data"]))
+    pair = _mostly(st.tuples(POSITIVE_TEXTS, POSITIVE_TEXTS).map(",".join), NUMBER_TEXTS)
+    if command == "rank":
+        options = [_option("--indicator", st.sampled_from(["f", "F", "g"])),
+                   _option("--format", st.sampled_from(["table", "csv", "json", "xml"])),
+                   _option("--precision", st.integers(-1, 16).map(str)),
+                   _option("--unit", st.text(max_size=3))]
+        argv = [command, INPUT]
+    elif command in ("compare", "calibrate"):
+        options = [_option("--ref", pair, True), _option("--cmp", pair, True)]
+        argv = [command]
+    elif command == "verify":
+        targets = st.sampled_from(["f", "F", "rel", "abs", "log", "g"])
+        options = [_option("--target", targets, True),
+                   _option("--seed", st.one_of(st.integers(-2**70, 2**70).map(str), NUMBER_TEXTS))]
+        argv = [command, f"--samples={draw(st.integers(-2, 200))}"]
+    elif command == "elasticity":
+        families = ["power:A={},k={}", "exponential:A={},b={}", "affine:a={},b={}", "cubic:a={}"]
+        spec = st.builds(str.format, st.sampled_from(families), POSITIVE_TEXTS, LAMBDA_TEXTS)
+        options = [_option("--fn", spec, True), _option("--x", POSITIVE_TEXTS, True)]
+        argv = [command]
+    else:
+        lambdas = st.lists(LAMBDA_TEXTS, max_size=4).map(",".join)
+        options = [_option("--lambdas", lambdas), _option("--y-min", POSITIVE_TEXTS),
+                   _option("--y-max", POSITIVE_TEXTS)]
+        argv = [command, f"--points={draw(st.integers(-1, 50))}"]
+    if command not in ("calibrate", "plot-data"):
+        options.append(_option("--lambda", LAMBDA_TEXTS))
+    for option in options:
+        argv += draw(option)
+    return argv
+
+
+#: A CSV line for rank that is not a clean observation.
+EDGE_ROWS = st.one_of(
+    st.sampled_from(["", "  ", ",", "a,1", "a,1,2,3"]),
+    st.builds("{},{},{}".format, st.text(alphabet='ab ,"\r\n\xe9', max_size=4),
+              POSITIVE_TEXTS, POSITIVE_TEXTS),
+    st.builds('"{}",{},{}'.format, st.text(alphabet='ab ,"\r\n\xe9', max_size=4).map(
+        lambda label: label.replace('"', '""')), POSITIVE_TEXTS, POSITIVE_TEXTS),
+)
+
+
+@st.composite
+def csv_bytes(draw):
+    """Bytes for rank: mostly a clean table, else edge headers, rows, line
+    endings, encodings or bytes."""
+    rows = draw(st.dictionaries(st.text("abc", min_size=1, max_size=2),
+                                st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+                                min_size=1, max_size=4))
+    lines = [f"{label},{x!r},{y!r}" for label, (x, y) in rows.items()]
+    if draw(_mostly(st.just(True), st.just(False))):
+        return "\n".join(["label,past,present", *lines, ""]).encode()
+    header = draw(st.sampled_from(["label,past,present", "\ufefflabel,past,present",
+                                   "Label, Past ,PRESENT", "label,past", "", "name,old,new"]))
+    lines += draw(st.lists(EDGE_ROWS, max_size=3))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
+    encoding = draw(st.sampled_from(["utf-8", "utf-16", "latin-1"]))
+    return draw(_mostly(st.just(text.encode(encoding, "replace")), st.binary(max_size=40)))
+
+
+# strict_json holds no state, so sharing it across examples is safe.
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv(), content=csv_bytes(),
+       source=_mostly(st.sampled_from(["file", "stdin"]),
+                      st.sampled_from(["missing", "directory"])))
+def test_cli_contract_under_generated_input(strict_json, argv, content, source):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        if source == "file":
+            Path(path).write_bytes(content)
+        elif source == "directory":
+            os.mkdir(path)
+        argv = [("-" if source == "stdin" else path) if arg == INPUT else arg for arg in argv]
+        with redirect_stdout(out), redirect_stderr(err), mock.patch.object(sys, "stdin", stdin):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                assert exc.code == 1
+                code = 1
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if not text:
+        return
+    kind = getattr(build_parser().parse_args(argv), "format", None)  # a handler ran: argv parses
+    if argv[0] == "verify" or kind == "json":
+        strict_json(text)
+    if kind == "csv":
+        assert all(len(row) == 7 for row in csv.reader(io.StringIO(text, newline="")))

@@ -231,6 +231,13 @@ class TestCobbDouglas:
         with pytest.raises(DomainError, match="growth"):
             cobb_douglas_f(0.5, pair(2, 2))
 
+    @pytest.mark.parametrize("lam, x, y",
+                             [(400, 1e-3, 1e3), (-400, 1e-3, 1e3), (0.5, 1e-300, 1e300)])
+    def test_non_finite_value_is_numerical_error(self, lam, x, y):
+        # The first two overflow inside a power; the last is inf without an exception.
+        with pytest.raises(NumericalError, match="cobb_douglas_f"):
+            cobb_douglas_f(lam, pair(x, y))
+
 
 class TestQuantityIndicator:
     def test_examples(self):
