@@ -9,7 +9,6 @@ and a randomized axiom-verification suite with a CLI frontend.
 from ._backend import BACKEND
 from .approximation import (
     box_cox,
-    curve_table,
     linearization_residual,
     remainder_bound,
     taylor_F,
@@ -71,7 +70,6 @@ __all__ = [
     "calibrate_lambda",
     "classical_elasticity",
     "cobb_douglas_f",
-    "curve_table",
     "doubling_example",
     "elasticity_quotient",
     "eval_F",

@@ -3,9 +3,8 @@ F and f, the linearization property and the Box-Cox specialization."""
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
-from .core import eval_F, eval_f
+from .core import _checked, eval_F, eval_f
 from .errors import DomainError
 from .types import PositivePair, check_lambda
 
@@ -68,11 +67,15 @@ def remainder_bound(lam: float, p: PositivePair) -> float:
 
     The Lagrange remainder is |lam|/2 * xi**-(1+lam) * (y - x)**2 for some xi
     between x and y; the bound takes the xi that makes it largest:
-    min(x, y) when 1 + lam >= 0, max(x, y) when 1 + lam < 0.
+    min(x, y) when 1 + lam >= 0, max(x, y) when 1 + lam < 0.  A bound that is
+    not finite raises NumericalError.
     """
     lam = check_lambda(lam)
     xi = min(p.x, p.y) if lam >= -1.0 else max(p.x, p.y)
-    return abs(lam) * (p.y - p.x) ** 2 / xi ** (1.0 + lam)
+    return _checked(
+        "remainder_bound", lambda lam, x, y: abs(lam) * (y - x) ** 2 / xi ** (1.0 + lam),
+        lam, p.x, p.y,
+    )
 
 
 def linearization_residual(lam: float, x: float, h: float) -> float:
@@ -99,34 +102,13 @@ def box_cox(lam: float, y: float) -> float:
     return eval_F(lam, PositivePair(1.0, y))
 
 
-DEFAULT_CURVE_LAMBDAS = (0.0, 0.2, 0.5, 1.0)
-
-
-def default_curve_grid(points: int = 500, lo: float = 0.01, hi: float = 5.0) -> list[float]:
+def default_curve_grid(points: int, lo: float, hi: float) -> list[float]:
     """Uniform grid of ``points`` values on [lo, hi]."""
     if points < 2:
         raise DomainError(f"grid needs at least 2 points, got {points}")
     if not (0 < lo < hi):
         raise DomainError(f"grid range must satisfy 0 < lo < hi, got ({lo}, {hi})")
     step = (hi - lo) / (points - 1)
+    if not math.isfinite(lo + (points - 1) * step):
+        raise DomainError(f"grid range ({lo}, {hi}) in {points} points is not finite")
     return [lo + i * step for i in range(points)]
-
-
-def curve_table(
-    lambdas: Sequence[float] = DEFAULT_CURVE_LAMBDAS,
-    ys: Iterable[float] | None = None,
-) -> tuple[list[str], list[list[float]]]:
-    """Table of (y, F_lam(1, y)) columns, one per lambda.
-
-    Returns (header, rows) with header ``['y', 'F_<lam>', ...]``; lambda is
-    rendered with up to 4 significant digits in the column names.
-    """
-    lambdas = [check_lambda(l) for l in lambdas]
-    grid = list(default_curve_grid() if ys is None else ys)
-    for y in grid:
-        if not (math.isfinite(y) and y > 0):
-            raise DomainError(f"grid points must be positive, got {y!r}")
-    header = ["y"] + [f"F_{lam:.4g}" for lam in lambdas]
-    rows = [[y] + [box_cox(lam, y) for lam in lambdas] for y in grid]
-    return header, rows
-

@@ -347,10 +347,14 @@ def _cmd_elasticity(args) -> int:
     lam = check_lambda(args.lam)
     g = elasticity.parse_function_spec(args.fn)
     x = args.x
+    # Every value before the first line, so that an error prints nothing.
+    marginal = elasticity.marginal(g, x)
+    classical = elasticity.classical_elasticity(g, x)
+    generalized = elasticity.generalized_elasticity(lam, g, x)
     print(f"function   = {g.name}")
-    print(f"marginal   = {elasticity.marginal(g, x)!r}")
-    print(f"classical  = {elasticity.classical_elasticity(g, x)!r}")
-    print(f"generalized[{lam:.4g}] = {elasticity.generalized_elasticity(lam, g, x)!r}")
+    print(f"marginal   = {marginal!r}")
+    print(f"classical  = {classical!r}")
+    print(f"generalized[{lam:.4g}] = {generalized!r}")
     return 0
 
 
@@ -359,7 +363,9 @@ def _cmd_plot_data(args) -> int:
     if not lambdas:
         raise ValidationError("at least one lambda is required")
     grid = approximation.default_curve_grid(args.points, args.y_min, args.y_max)
-    header, rows = approximation.curve_table(lambdas, grid)
+    lambdas = [check_lambda(lam) for lam in lambdas]  # every lambda before any cell
+    rows = [[y] + [approximation.box_cox(lam, y) for lam in lambdas] for y in grid]
+    header = ["y"] + [f"F_{lam:.4g}" for lam in lambdas]
     csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
     return 0
 

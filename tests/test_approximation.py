@@ -8,9 +8,9 @@ import decimal_ref
 
 from changekit import (
     DomainError,
+    NumericalError,
     PositivePair,
     box_cox,
-    curve_table,
     eval_F,
     eval_f,
     linearization_residual,
@@ -187,6 +187,15 @@ class TestRemainderBound:
                         p = PositivePair(x, x * r)
                         assert exact_gap(lam, p.x, p.y) <= Decimal(remainder_bound(lam, p))
 
+    @pytest.mark.parametrize("lam, x, y", [
+        (400, 1e-3, 2e-3), (-400, 1e3, 2e3), (400, 1e3, 2e3), (3, 1e-300, 1e300),
+    ])
+    def test_non_finite_value_is_numerical_error(self, lam, x, y):
+        # xi**(1 + lam) underflows to 0 in the first two and overflows in the
+        # third; the last overflows in (y - x)**2.
+        with pytest.raises(NumericalError, match="remainder_bound"):
+            remainder_bound(lam, PositivePair(x, y))
+
 
 class TestLinearization:
     def test_zero_step(self):
@@ -235,23 +244,3 @@ class TestBoxCox:
         with pytest.raises(DomainError):
             box_cox(0.5, 0.0)
 
-
-class TestCurveTable:
-    def test_default_shape_and_header(self):
-        header, rows = curve_table()
-        assert header == ["y", "F_0", "F_0.2", "F_0.5", "F_1"]
-        assert len(rows) == 500
-        assert rows[-1][0] == pytest.approx(5.0)
-
-    def test_all_curves_vanish_at_one(self):
-        header, rows = curve_table(ys=[1.0])
-        assert rows[0][1:] == [0.0, 0.0, 0.0, 0.0]
-
-    def test_log_column(self):
-        header, rows = curve_table([1.0], ys=[1.0, math.e])
-        assert rows[0][1] == 0.0
-        assert rows[1][1] == pytest.approx(1.0, rel=1e-15)
-
-    def test_rejects_nonpositive_grid(self):
-        with pytest.raises(DomainError):
-            curve_table(ys=[1.0, -2.0])

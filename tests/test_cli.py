@@ -351,6 +351,11 @@ class TestCommands:
     def test_elasticity_bad_function(self, capsys):
         code, _, err = run_cli(capsys, "elasticity", "--fn", "cubic:a=1", "--x", "2")
         assert code == 1 and "DomainError" in err
+        # An error in any value leaves stdout empty.
+        code, out, err = run_cli(capsys, "elasticity", "--fn", "power:A=5,k=0.3", "--x=-1")
+        assert (code, out) == (1, "") and "DomainError" in err
+        code, out, err = run_cli(capsys, "elasticity", "--fn", "power:A=5,k=400", "--x=10")
+        assert (code, out) == (2, "") and "OverflowError" in err
 
     def test_plot_data_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "plot-data")
@@ -358,6 +363,7 @@ class TestCommands:
         lines = out.strip().split("\n")
         assert lines[0] == "y,F_0,F_0.2,F_0.5,F_1"
         assert len(lines) == 501
+        assert lines[-1].split(",")[0] == "5.0"
 
     def test_plot_data_closed_form_row(self, capsys):
         code, out, _ = run_cli(capsys, "plot-data", "--lambdas", "0.5",
@@ -371,15 +377,21 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "plot-data", "--lambdas", "1",
                                "--y-min", "1", "--y-max", str(math.e),
                                "--points", "2")
-        # two-point grid ending at y = e: the last row evaluates ln(e) = 1
+        # two-point grid from y = 1 to y = e: ln(1) = 0 and ln(e) = 1
         assert code == 0
-        value = float(out.strip().split("\n")[-1].split(",")[1])
-        assert value == pytest.approx(1.0, rel=1e-15)
+        first, last = out.strip().split("\n")[1:]
+        assert first == "1.0,0.0"
+        assert float(last.split(",")[1]) == pytest.approx(1.0, rel=1e-15)
 
     def test_plot_data_csv_bytes(self, capsys):
         code, out, err = run_cli(capsys, "plot-data", "--lambdas", "0.5",
                                  "--y-min", "1", "--y-max", "4", "--points", "2")
         assert (code, out, err) == (0, "y,F_0.5\n1.0,0.0\n4.0,2.0\n", "")
+        # every curve vanishes at y = 1
+        code, out, err = run_cli(capsys, "plot-data", "--y-min", "1", "--y-max", "2",
+                                 "--points", "2")
+        assert (code, err) == (0, "")
+        assert out.split("\n")[1] == "1.0,0.0,0.0,0.0,0.0"
 
     def test_plot_data_invalid_range(self, capsys):
         code, _, err = run_cli(capsys, "plot-data", "--y-min", "-1")
@@ -388,6 +400,21 @@ class TestCommands:
         assert code == 1 and "at least one lambda is required" in err
         code, _, err = run_cli(capsys, "plot-data", "--lambdas", "x")
         assert code == 1 and "bad lambda list" in err
+        # y_max = inf, and a last point that rounds to inf
+        for bounds in (["--y-max", "inf"],
+                       ["--y-min", "1e-300", "--y-max", "1.7976931348623157e308",
+                        "--points", "7"]):
+            code, out, err = run_cli(capsys, "plot-data", *bounds)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: DomainError: grid range (") and "not finite" in err
+
+    def test_plot_data_checks_every_lambda_before_any_cell(self, capsys):
+        # F_400(1, 1e-300) overflows, but the nan after it is reported first
+        grid = ["--y-min", "1e-300", "--y-max", "1e-299", "--points", "2"]
+        code, out, err = run_cli(capsys, "plot-data", "--lambdas=0.5,400,nan", *grid)
+        assert (code, out, err) == (1, "", "error: DomainError: lambda must be finite, got nan\n")
+        code, out, err = run_cli(capsys, "plot-data", "--lambdas=400", *grid)
+        assert (code, out) == (2, "") and "NumericalError" in err
 
     def test_plot_data_single_point_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "plot-data", "--points", "1")

@@ -99,12 +99,32 @@ def test_indicators_call_the_batch_kernel_when_they_run(monkeypatch, indicator, 
     assert len(calls) == 1 and calls[0][3] is out
 
 
-def test_only_the_package_init_imports_the_backend_shim():
-    importers = set()
+def _package_nodes():
+    """(file name, node) for every AST node of every module of the package."""
     for path in Path(changekit.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
-                if any("_backend" in name.split(".") for name in names):
-                    importers.add(path.name)
+            yield path.name, node
+
+
+def _imported_parts(node) -> set[str]:
+    """The dotted parts of the names an import statement names; empty for other nodes."""
+    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return set()
+    names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+    return {part for name in names for part in name.split(".")}
+
+
+def test_only_the_package_init_imports_the_backend_shim():
+    importers = {name for name, node in _package_nodes() if "_backend" in _imported_parts(node)}
     assert importers == {"__init__.py"}
+
+
+def test_only_the_cli_does_io():
+    # The library returns values and raises; reading and writing streams is
+    # the command line's part.
+    doers = {
+        name for name, node in _package_nodes()
+        if _imported_parts(node) & {"sys", "csv"}
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    }
+    assert doers == {"cli.py"}
