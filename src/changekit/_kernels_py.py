@@ -45,9 +45,10 @@ def _F(log, expm1):
 
 
 def _many(kernel):
-    """The batch form of ``kernel``: its value over arrays, written into ``out``."""
-    def many(lam: float, xs, ys, out) -> None:
+    """The batch form of ``kernel``: its value over arrays, written into ``out`` and returned."""
+    def many(lam: float, xs, ys, out):
         out[...] = kernel(lam, np.asarray(xs), np.asarray(ys))
+        return out
 
     return many
 

@@ -109,22 +109,12 @@ BatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 def f_indicator(lam: float) -> BatchFn:
     """The family member f_lam over sample arrays, through ``kernels.f_many``."""
-    def f(xs, ys):
-        out = np.empty(np.shape(xs))
-        kernels.f_many(lam, xs, ys, out)
-        return out
-
-    return f
+    return lambda xs, ys: kernels.f_many(lam, xs, ys, np.empty(np.shape(xs)))
 
 
 def F_indicator(lam: float) -> BatchFn:
     """The family member F_lam over sample arrays, through ``kernels.F_many``."""
-    def F(xs, ys):
-        out = np.empty(np.shape(xs))
-        kernels.F_many(lam, xs, ys, out)
-        return out
-
-    return F
+    return lambda xs, ys: kernels.F_many(lam, xs, ys, np.empty(np.shape(xs)))
 
 
 def _log_uniform(rng: np.random.Generator, n: int) -> np.ndarray:

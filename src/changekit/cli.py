@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -23,7 +22,6 @@ from .errors import ChangekitError, ParseError, ValidationError
 from .types import PositivePair, check_lambda
 
 DEFAULT_LAMBDA = 0.5  # the symmetric choice between absolute and relative
-SEED_ENV_VAR = "CHANGEKIT_SEED"
 
 #: Rank ties: values within this relative band share a rank.  The worked
 #: five-channel example contains a tie that is exact in real arithmetic but
@@ -381,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="changekit", description="Change-indicator toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_lambda(p, default=DEFAULT_LAMBDA):
-        p.add_argument("--lambda", dest="lam", type=float, default=default,
-                       help=f"interpolation parameter (default {default}); write a negative "
+    def add_lambda(p):
+        p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
+                       help=f"interpolation parameter (default {DEFAULT_LAMBDA}); write a negative "
                             "exponent form with '=', as in --lambda=-1e-12")
 
     p_rank = sub.add_parser("rank", help="rank a CSV of labeled observations")
@@ -412,10 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--target", choices=sorted(_VERIFY_PLAN), required=True)
     add_lambda(p_ver)
     plan = axioms.SampleConfig()  # an instance: perfbench's tracer swaps classes for functions
-    # A string default goes through type=int only when verify runs, so a bad
-    # environment value is a usage error of verify alone.
-    p_ver.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV_VAR, str(plan.seed)),
-                       help=f"sampling seed (default: ${SEED_ENV_VAR}, else {plan.seed})")
+    p_ver.add_argument("--seed", type=int, default=plan.seed,
+                       help=f"sampling seed (default {plan.seed})")
     p_ver.add_argument("--samples", type=int, default=plan.count)
     p_ver.set_defaults(handler=_cmd_verify)
 

@@ -45,7 +45,7 @@ def marginal(g: EconFunction, x: float) -> float:
     g.value(x)
     if g.derivative is not None:
         return g.derivative(x)
-    h = max(abs(x), 1.0) * FD_STEP_REL
+    h = x * FD_STEP_REL
     return (g.eval(x + h) - g.eval(x - h)) / (2.0 * h)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from changekit import DomainError
 from changekit.elasticity import (
+    FD_STEP_REL,
     EconFunction,
     affine_function,
     classical_elasticity,
@@ -15,6 +16,8 @@ from changekit.elasticity import (
     parse_function_spec,
     power_function,
 )
+
+EPS = 2.0**-52
 
 
 class TestMarginal:
@@ -35,8 +38,15 @@ class TestMarginal:
     def test_finite_difference_on_builtins(self):
         for g in (power_function(2, 1.7), exponential_function(0.5, 0.9), affine_function(1, 3)):
             stripped = EconFunction(g.name, g.eval)
-            for x in (0.5, 1.0, 4.0):
-                assert marginal(stripped, x) == pytest.approx(marginal(g, x), rel=1e-6)
+            for x in (1e-7, 2e-6, 0.5, 1.0, 4.0):
+                # The step h = x * FD_STEP_REL keeps x - h in the domain.  A few
+                # ulps of g over h err by about eps / (FD_STEP_REL * E) relative
+                # to g', with E the classical elasticity: large near x = 0
+                # unless g scales with x.
+                value = marginal(stripped, x)
+                assert type(value) is float
+                rounding = 4 * EPS / (FD_STEP_REL * classical_elasticity(g, x))
+                assert value == pytest.approx(marginal(g, x), rel=1e-6 + rounding)
 
     def test_domain_errors(self):
         g = power_function(1, 2)

@@ -128,3 +128,8 @@ def test_only_the_cli_does_io():
         or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
     }
     assert doers == {"cli.py"}
+
+
+def test_no_module_imports_os():
+    # Options are the only inputs: no module reads the environment.
+    assert not {name for name, node in _package_nodes() if "os" in _imported_parts(node)}
