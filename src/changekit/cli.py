@@ -4,6 +4,12 @@ Subcommands: rank, compare, calibrate, verify, elasticity, plot-data.
 Exit codes are a stable contract: 0 success, 1 validation/parse error,
 2 internal numerical error.  Output is deterministic: identical inputs and
 flags produce byte-identical output (including JSON key order).
+
+``rank`` runs in three steps over columns, not per-row objects:
+``parse_csv`` reads a ``Dataset`` of labels, past and present values;
+``rank_dataset`` evaluates the family once over the columns and returns
+``Row`` tuples in rank order; ``render_reports`` writes them as a table,
+csv or json.
 """
 from __future__ import annotations
 
@@ -13,10 +19,12 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
-from math import inf
+from itertools import islice, repeat, starmap
+from math import inf, isfinite
+from operator import sub, truediv
 from typing import Iterable, Sequence, TextIO
 
+from . import _kernels_py as kernels
 from . import approximation, axioms, calibration, core, elasticity
 from .errors import ChangekitError, ParseError, ValidationError
 from .types import PositivePair, check_lambda
@@ -31,16 +39,22 @@ RANK_TIE_REL = 1e-9
 #: Precision value that switches csv/json output to shortest round-trip floats.
 FULL_PRECISION = 15
 
-#: One ranked observation: (label, pair, indicator value, dense rank).
-Row = tuple[str, PositivePair, float, int]
+#: One ranked observation: (label, past, present, indicator value, dense rank).
+Row = tuple[str, float, float, float, int]
+
+#: Rows per json block: the json format encodes and writes this many rows at
+#: a time, so the whole payload is never held as one list or one string.
+_JSON_BLOCK = 4096
 
 
 @dataclass
 class Dataset:
-    """Labeled observations in input order: ``labels[i]`` names ``pairs[i]``."""
+    """Labeled observations in input order, as columns: ``labels[i]`` names
+    the pair ``(xs[i], ys[i])``, each value finite and positive."""
 
     labels: list[str]
-    pairs: list[PositivePair]
+    xs: list[float]
+    ys: list[float]
 
 
 @dataclass(frozen=True)
@@ -56,7 +70,12 @@ class OutputFormat:
 
 
 def parse_csv(stream: Iterable[str], source: str = "<stdin>") -> Dataset:
-    """Read observations from CSV with header ``label,past,present``."""
+    """Read observations from CSV with header ``label,past,present``.
+
+    Every refusal names the source and the line: a malformed row, an empty,
+    repeated or multi-line label, a cell that is not a number, or a value
+    that ``PositivePair`` refuses.
+    """
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -70,43 +89,56 @@ def parse_csv(stream: Iterable[str], source: str = "<stdin>") -> Dataset:
             f"{source}:1: expected header 'label,past,present', got {','.join(header)!r}"
         )
     labels: list[str] = []
-    pairs: list[PositivePair] = []
+    xs: list[float] = []
+    ys: list[float] = []
     seen: set[str] = set()
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:
             raise ParseError(f"{source}:{lineno}: expected 3 columns, got {len(row)}")
-        label = row[0].strip()
+        label, past, present = row
+        label = label.strip()
         if not label:
             raise ValidationError(f"{source}:{lineno}: empty label")
         if "\r" in label or "\n" in label:
             raise ValidationError(f"{source}:{lineno}: label {label!r} holds a line break")
         if label in seen:
             raise ValidationError(f"{source}:{lineno}: duplicate label {label!r}")
-        values = []
-        for col_name, cell in zip(("past", "present"), row[1:]):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ValidationError(
-                    f"{source}:{lineno}: observation {label!r}: "
-                    f"column {col_name!r} is not a number: {cell!r}"
-                )
         try:
-            pair = PositivePair(values[0], values[1])
-        except ValidationError as exc:
-            raise ValidationError(f"{source}:{lineno}: observation {label!r}: {exc}")
+            x = float(past)
+        except ValueError:
+            raise ValidationError(
+                f"{source}:{lineno}: observation {label!r}: column 'past' is not a number: {past!r}"
+            )
+        try:
+            y = float(present)
+        except ValueError:
+            raise ValidationError(
+                f"{source}:{lineno}: observation {label!r}: "
+                f"column 'present' is not a number: {present!r}"
+            )
+        if not (0.0 < x < inf and 0.0 < y < inf):  # NaN fails too
+            try:
+                PositivePair(x, y)  # refuses the pair, with its own message
+            except ValidationError as exc:
+                raise ValidationError(f"{source}:{lineno}: observation {label!r}: {exc}")
         seen.add(label)
         labels.append(label)
-        pairs.append(pair)
-    if not pairs:
+        xs.append(x)
+        ys.append(y)
+    if not labels:
         raise ValidationError(f"{source}: no observations")
-    return Dataset(labels, pairs)
+    return Dataset(labels, xs, ys)
 
 
 def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     """Rows dense-ranked by the chosen family, sorted by descending value, then label.
+
+    The values come from one pass of the scalar kernel.  If any of them is
+    not finite, or the kernel signals an overflow, ``core.eval_f``/``eval_F``
+    run over the rows in input order and raise the NumericalError of the
+    first such row.
 
     A value shares the rank of the rank's first value, its head, while it is
     within ``RANK_TIE_REL * max(1, |head|)`` of the head.  The band is
@@ -117,17 +149,27 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     lam = check_lambda(lam)
     if indicator not in ("f", "F"):
         raise ValidationError(f"indicator must be 'f' or 'F', got {indicator!r}")
-    evaluate = core.eval_f if indicator == "f" else core.eval_F
-    labels, pairs = ds.labels, ds.pairs
-    values = [evaluate(lam, p) for p in pairs]
+    labels, xs, ys = ds.labels, ds.xs, ds.ys
+    kernel = kernels.f_scalar if indicator == "f" else kernels.F_scalar
+    try:
+        values = list(map(kernel, repeat(lam), xs, ys))
+        finite = all(map(isfinite, values))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        evaluate = core.eval_f if indicator == "f" else core.eval_F
+        values = [evaluate(lam, PositivePair(x, y)) for x, y in zip(xs, ys)]
+    # Labels are unique, so this is the order of the key (-value, label).
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    order.sort(key=values.__getitem__, reverse=True)
     rows = []
     rank, head, band = 0, inf, 0.0
-    for i in sorted(range(len(values)), key=lambda i: (-values[i], labels[i])):
+    for i in order:
         value = values[i]
         if head - value > band:
             rank += 1
             head, band = value, RANK_TIE_REL * max(1.0, abs(value))
-        rows.append((labels[i], pairs[i], value, rank))
+        rows.append((labels[i], xs[i], ys[i], value, rank))
     return rows
 
 
@@ -139,54 +181,53 @@ def render_reports(
     out: TextIO,
     unit: str = "",
 ) -> None:
-    """Write ranked rows as a table, csv or json; ``unit`` is a table footnote."""
+    """Write ranked rows as a table, csv or json; ``unit`` is a table footnote.
+
+    The absolute and relative changes are ``core.abs_change`` and
+    ``core.rel_change``'s expressions.  csv and json are written as they
+    are formatted; the table holds its formatted columns for their widths.
+    """
     p = fmt.precision
     full = p >= FULL_PRECISION
+    labels, xs, ys, values, ranks = zip(*rows) if rows else ((),) * 5
+    abs_changes = list(map(sub, ys, xs))  # y - x
+    rel_changes = map(truediv, abs_changes, xs)  # (y - x) / x
     if fmt.kind == "json":
-        num = float if full else partial(round, ndigits=p)
-        payload = [
-            {
-                "label": label,
-                "past": num(pair.x),
-                "present": num(pair.y),
-                "abs": num(core.abs_change(pair)),
-                "rel": num(core.rel_change(pair)),
-                "indicator": num(value),
-                "rank": rank,
-            }
-            for label, pair, value, rank in rows
-        ]
-        out.write(json.dumps(payload) + "\n")
+        numbers = (xs, ys, abs_changes, rel_changes, values)
+        if not full:
+            numbers = [map(round, col, repeat(p)) for col in numbers]
+        payload = (
+            {"label": label, "past": x, "present": y, "abs": a, "rel": r, "indicator": v, "rank": k}
+            for label, x, y, a, r, v, k in zip(labels, *numbers, ranks)
+        )
+        # The blocks' items joined into one list: the bytes of json.dumps(rows).
+        out.write("[")
+        sep = ""
+        while block := list(islice(payload, _JSON_BLOCK)):
+            out.write(sep + json.dumps(block)[1:-1])
+            sep = ", "
+        out.write("]\n")
         return
     table = fmt.kind == "table"
     text = repr if full else f"{{:.{p}f}}".format
     # The table's rel cell is a percentage at every precision.
     rel_text = f"{{:.{p}%}}".format if table else text
-    cells = (
-        [
-            label,
-            text(pair.x),
-            text(pair.y),
-            text(core.abs_change(pair)),
-            rel_text(core.rel_change(pair)),
-            text(value),
-            str(rank),
-        ]
-        for label, pair, value, rank in rows
-    )
+    columns = (labels, map(text, xs), map(text, ys), map(text, abs_changes),
+               map(rel_text, rel_changes), map(text, values), map(str, ranks))
     if not table:
         # The writer quotes a label that holds a comma or a quote.  It would
         # leave a "\r" unquoted, so parse_csv refuses line breaks in labels.
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["label", "past", "present", "abs", "rel", "indicator", "rank"])
-        writer.writerows(cells)
+        writer.writerows(zip(*columns))
         return
-    cells = list(cells)  # the column widths need every row
+    columns = [list(col) for col in columns]  # the column widths need every row
     headers = ["label", "past", "present", "abs", "rel", f"{indicator}_{lam:.4g}", "rank"]
-    widths = [max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)]
-    line = "  ".join(f"{{:<{w}}}" for w in widths)
-    for row in (headers, *cells):
-        out.write(line.format(*row).rstrip() + "\n")
+    widths = [max(len(h), *map(len, col)) for h, col in zip(headers[:-1], columns)]
+    # Cells are left-aligned; the last one is not padded, so no line ends in a space.
+    line = "".join(f"{{:<{w}}}  " for w in widths) + "{}\n"
+    out.write(line.format(*headers))
+    out.writelines(starmap(line.format, zip(*columns)))
     if unit:
         # Units are metadata only; the indicator value notionally carries
         # the unit raised to the (1 - lambda) power.

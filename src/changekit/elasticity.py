@@ -2,15 +2,17 @@
 
 The generalized elasticity g'(x) * (x / g(x))**lam interpolates the
 marginal function (lam = 0) and the classical elasticity (lam = 1); the
-pre-limit difference quotient converges to it at rate O(h).
+pre-limit difference quotient converges to it at rate O(h).  A float
+overflow or division by zero in any of them raises NumericalError.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .types import check_lambda
 
 #: Relative step for the central-difference fallback derivative.
@@ -40,6 +42,19 @@ class EconFunction:
         return g
 
 
+def _numerical(fn):
+    """``fn`` with an OverflowError or ZeroDivisionError raised as NumericalError from it."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NumericalError(f"{fn.__name__}: {type(exc).__name__}: {exc}") from exc
+
+    return checked
+
+
+@_numerical
 def marginal(g: EconFunction, x: float) -> float:
     """g'(x): the exact derivative if provided, else a central difference (O(h**2))."""
     g.value(x)
@@ -49,11 +64,13 @@ def marginal(g: EconFunction, x: float) -> float:
     return (g.eval(x + h) - g.eval(x - h)) / (2.0 * h)
 
 
+@_numerical
 def classical_elasticity(g: EconFunction, x: float) -> float:
     """g'(x) * x / g(x): the limit ratio of relative output to input change."""
     return marginal(g, x) * x / g.value(x)
 
 
+@_numerical
 def generalized_elasticity(lam: float, g: EconFunction, x: float) -> float:
     """g'(x) * (x / g(x))**lam.
 
@@ -67,6 +84,7 @@ def generalized_elasticity(lam: float, g: EconFunction, x: float) -> float:
     return marginal(g, x) * (x / g.value(x)) ** lam
 
 
+@_numerical
 def elasticity_quotient(lam: float, g: EconFunction, x: float, h: float) -> float:
     """Pre-limit quotient ((g(x+h) - g(x)) / g(x)**lam) / (h / x**lam).
 

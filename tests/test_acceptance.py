@@ -70,7 +70,7 @@ def random_pairs(rng, n, lo=1e-3, hi=1e3):
 def test_criterion_1_example_reproduction():
     start = time.perf_counter()
     ds = parse_csv(io.StringIO(EXAMPLE_CSV))
-    reports = {label: (value, rank) for label, _, value, rank in rank_dataset(ds, 0.5, "f")}
+    reports = {label: (value, rank) for label, _, _, value, rank in rank_dataset(ds, 0.5, "f")}
     elapsed = time.perf_counter() - start
 
     expected = {"I": 3.16, "II": 3.13, "III": 5.92, "IV": 5.92, "V": 6.15}

@@ -54,8 +54,9 @@ def run_cli(capsys, *argv):
 class TestParseCsv:
     def test_basic(self):
         ds = parse_csv(io.StringIO(EXAMPLE_CSV))
-        assert ds.labels == ["I", "II", "III", "IV", "V"]
-        assert ds.pairs[0] == PositivePair(10, 20)
+        assert ds == Dataset(["I", "II", "III", "IV", "V"],
+                             [10.0, 500.0, 140.0, 35.0, 80.0], [20.0, 570.0, 210.0, 70.0, 135.0])
+        assert all(type(v) is float for v in ds.xs + ds.ys)
 
     def test_header_case_insensitive_and_crlf(self):
         ds = parse_csv(io.StringIO("Label,Past,Present\r\nA,1,2\r\n"))
@@ -89,47 +90,60 @@ class TestParseCsv:
         with pytest.raises(ParseError, match=":3:"):
             parse_csv(io.StringIO("label,past,present\nA,1,2\nB,1\n"))
 
+    @pytest.mark.parametrize("cell, shown", [
+        ("0", "0.0"), ("-1", "-1.0"), ("inf", "inf"), ("nan", "nan"), ("1e309", "inf")])
+    @pytest.mark.parametrize("column", ["past", "present"])
+    def test_refused_value_names_source_line_label_and_value(self, column, cell, shown):
+        row = f"X,{cell},5" if column == "past" else f"X,5,{cell}"
+        text = f"label,past,present\nA,1,2\n\n{row}\nB,3,4\n"
+        with pytest.raises(ValidationError) as info:
+            parse_csv(io.StringIO(text), "data.csv")
+        assert str(info.value) == (
+            f"data.csv:4: observation 'X': {column} value must be a finite positive number, "
+            f"got {shown}")
+
+    def test_refused_past_is_named_before_present(self):
+        with pytest.raises(ValidationError) as info:
+            parse_csv(io.StringIO("label,past,present\nX,-0,nan\n"))
+        assert str(info.value) == (
+            "<stdin>:2: observation 'X': past value must be a finite positive number, got -0.0")
+
 
 class TestRanking:
     def test_example_ranking(self):
         ds = parse_csv(io.StringIO(EXAMPLE_CSV))
         reports = rank_dataset(ds, 0.5, "f")
-        by_label = {label: rank for label, _, _, rank in reports}
+        by_label = {label: rank for label, _, _, _, rank in reports}
         assert by_label["V"] == 1
         assert by_label["III"] == 2 and by_label["IV"] == 2
         assert by_label["I"] == 3
         assert by_label["II"] == 4
-        assert [label for label, _, _, _ in reports] == ["V", "III", "IV", "I", "II"]
+        assert [label for label, _, _, _, _ in reports] == ["V", "III", "IV", "I", "II"]
+        assert [(x, y) for _, x, y, _, _ in reports] == [
+            (80.0, 135.0), (140.0, 210.0), (35.0, 70.0), (10.0, 20.0), (500.0, 570.0)]
 
     def test_abs_ranking_cannot_separate_ii_and_iii(self):
         ds = parse_csv(io.StringIO(EXAMPLE_CSV))
         reports = rank_dataset(ds, 0.0, "f")
-        by_label = {label: rank for label, _, _, rank in reports}
+        by_label = {label: rank for label, _, _, _, rank in reports}
         assert by_label["II"] == 1 and by_label["III"] == 1
-        assert [value for _, _, value, _ in sorted(reports, key=lambda r: r[0])] == [
+        assert [value for _, _, _, value, _ in sorted(reports, key=lambda r: r[0])] == [
             10, 70, 70, 35, 55]
 
     def test_single_row(self):
-        ds = Dataset(["only"], [PositivePair(3, 4)])
+        ds = Dataset(["only"], [3.0], [4.0])
         reports = rank_dataset(ds, 0.5)
-        assert reports[0][3] == 1
+        assert reports == [("only", 3.0, 4.0, kernels.f_scalar(0.5, 3.0, 4.0), 1)]
 
     def test_unknown_indicator(self):
-        ds = Dataset(["only"], [PositivePair(3, 4)])
+        ds = Dataset(["only"], [3.0], [4.0])
         with pytest.raises(ValidationError, match="indicator must be 'f' or 'F'"):
             rank_dataset(ds, 0.5, "g")
 
     def test_dense_ranks_after_tie(self):
-        ds = Dataset(
-            ["a", "b", "c"],
-            [
-                PositivePair(1, 4),
-                PositivePair(2, 8),  # same rel change as a
-                PositivePair(1, 2),
-            ],
-        )
+        ds = Dataset(["a", "b", "c"], [1.0, 2.0, 1.0], [4.0, 8.0, 2.0])  # b: a's rel change
         reports = rank_dataset(ds, 1.0, "f")
-        ranks = {label: rank for label, _, _, rank in reports}
+        ranks = {label: rank for label, _, _, _, rank in reports}
         assert ranks == {"a": 1, "b": 1, "c": 2}
 
     def test_tie_band_is_measured_from_the_head_of_the_rank(self):
@@ -137,14 +151,14 @@ class TestRanking:
         # predecessor, so c is 1.2 band widths below a, the head of rank 1.
         step = 0.6 * RANK_TIE_REL * 1000.0
         a, b, c = 1000.0, 1000.0 - step, 1000.0 - 2 * step
-        ds = Dataset(["a", "b", "c"], [PositivePair(1, 1 + v) for v in (a, b, c)])
+        ds = Dataset(["a", "b", "c"], [1.0] * 3, [1 + v for v in (a, b, c)])
         reports = rank_dataset(ds, 0.0, "f")
-        values = [value for _, _, value, _ in reports]
+        values = [value for _, _, _, value, _ in reports]
         assert values[0] > values[1] > values[2]
         assert values[0] - values[1] <= RANK_TIE_REL * values[0]
         assert values[1] - values[2] <= RANK_TIE_REL * values[1]
         assert values[0] - values[2] > RANK_TIE_REL * values[0]
-        assert [(label, rank) for label, _, _, rank in reports] == [("a", 1), ("b", 1), ("c", 2)]
+        assert [(label, rank) for label, _, _, _, rank in reports] == [("a", 1), ("b", 1), ("c", 2)]
 
 
 class TestRendering:
@@ -188,7 +202,7 @@ class TestRendering:
         for line in buf.getvalue().strip().split("\n")[1:]:
             cells = line.split(",")
             reparsed[cells[0]] = float(cells[5])
-        for label, _, value, _ in reports:
+        for label, _, _, value, _ in reports:
             assert reparsed[label] == value  # bit-exact
 
     def test_json_deterministic(self, strict_json):
@@ -320,6 +334,20 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "NumericalError" in err
 
+    @pytest.mark.parametrize("indicator", ["f", "F"])
+    def test_rank_names_the_first_overflowing_row_in_input_order(self, capsys, tmp_path, indicator):
+        # At lambda 105 both z and a overflow: f of z is inf (0.001**105 is
+        # subnormal) and f of a divides by 0.0005**105 == 0; F overflows expm1
+        # at both.  Input order puts z first; label and value order do not.
+        path = tmp_path / "two.csv"
+        path.write_text("label,past,present\nm,1,2\nz,0.001,20\na,0.0005,20\n")
+        code, out, err = run_cli(capsys, "rank", str(path), "--lambda", "105",
+                                 "--indicator", indicator)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"numerical error: NumericalError: {indicator}[105](0.001, 20.0) is not finite: ")
+        assert err.count("\n") == 1
+
     def test_elasticity_command(self, capsys):
         code, out, _ = run_cli(capsys, "elasticity", "--fn", "power:A=5,k=0.3",
                                "--lambda", "0.5", "--x", "2")
@@ -338,6 +366,7 @@ class TestCommands:
         assert (code, out) == (1, "") and "DomainError" in err
         code, out, err = run_cli(capsys, "elasticity", "--fn", "power:A=5,k=400", "--x=10")
         assert (code, out) == (2, "") and "OverflowError" in err
+        assert err.startswith("numerical error: NumericalError: ")
 
     def test_plot_data_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "plot-data")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from changekit import DomainError
+from changekit import DomainError, NumericalError
 from changekit.elasticity import (
     FD_STEP_REL,
     EconFunction,
@@ -123,6 +123,29 @@ class TestElasticityQuotient:
     def test_zero_step_rejected(self):
         with pytest.raises(DomainError):
             elasticity_quotient(0.5, power_function(1, 2), 1.0, 0.0)
+
+
+class TestNumericalErrors:
+    """A float overflow or division by zero is a NumericalError chained from it."""
+
+    @pytest.mark.parametrize("call, where, cause", [
+        (lambda: marginal(power_function(5, 400), 10.0), "marginal", OverflowError),
+        (lambda: classical_elasticity(power_function(5, 400), 10.0), "marginal", OverflowError),
+        (lambda: generalized_elasticity(1.0, power_function(5, 400), 10.0), "marginal",
+         OverflowError),
+        (lambda: generalized_elasticity(-1e308, power_function(1, 2), 3.0),
+         "generalized_elasticity", OverflowError),
+        (lambda: elasticity_quotient(0.5, power_function(1, 2), 1.0, 1e308),
+         "elasticity_quotient", OverflowError),
+        (lambda: elasticity_quotient(400.0, power_function(1, 2), 1e-3, 1e-4),
+         "elasticity_quotient", ZeroDivisionError),
+    ], ids=["marginal", "classical", "generalized-lam1", "generalized", "quotient-overflow",
+            "quotient-zero-division"])
+    def test_arithmetic_error_is_numerical_error(self, call, where, cause):
+        with pytest.raises(NumericalError) as info:
+            call()
+        assert type(info.value.__cause__) is cause
+        assert str(info.value).startswith(f"{where}: {cause.__name__}: ")
 
 
 class TestRegistry:

@@ -3,14 +3,22 @@
 The worked five-channel example is pinned byte for byte in `tests/golden/`;
 a seeded 2,000-row CSV is pinned by the sha256 of its output.  Both go
 through `cli.main` only, so they hold for any internal row representation.
+A seeded CSV longer than two json blocks is checked against a reference
+built here from the library's per-pair functions.
 """
+import csv
 import hashlib
+import io
+import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
+from changekit import cli, core
 from changekit.cli import main
+from changekit.types import PositivePair
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -113,3 +121,56 @@ def test_seeded_csv_matches_golden_digest(capsys, tmp_path, config):
     out = rank_stdout(capsys, path, "--indicator", indicator, "--lambda", lam,
                       "--format", kind, "--precision", precision)
     assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_SHA256[config]
+
+
+def reference_stdout(path, indicator, lam, kind, precision):
+    """rank's stdout from PositivePair, eval_f/eval_F, abs_change and rel_change.
+
+    Rows sort by (-value, label), and the tie band is measured from each
+    rank's head; json is one json.dumps of the whole payload.
+    """
+    with open(path, newline="") as fh:
+        pairs = {label: PositivePair(float(x), float(y)) for label, x, y in list(csv.reader(fh))[1:]}
+    evaluate = core.eval_f if indicator == "f" else core.eval_F
+    value = {label: evaluate(lam, p) for label, p in pairs.items()}
+    rows, rank, head, band = [], 0, math.inf, 0.0
+    for label in sorted(pairs, key=lambda label: (-value[label], label)):
+        if head - value[label] > band:
+            rank, head = rank + 1, value[label]
+            band = cli.RANK_TIE_REL * max(1.0, abs(head))
+        p = pairs[label]
+        rows.append([label, p.x, p.y, core.abs_change(p), core.rel_change(p), value[label], rank])
+    full = precision == cli.FULL_PRECISION
+    if kind == "json":
+        keys = ["label", "past", "present", "abs", "rel", "indicator", "rank"]
+        num = (lambda v: v) if full else (lambda v: round(v, precision))
+        return json.dumps([dict(zip(keys, [r[0], *map(num, r[1:6]), r[6]])) for r in rows]) + "\n"
+    text = repr if full else (lambda v: f"{v:.{precision}f}")
+    rel_text = (lambda v: f"{v:.{precision}%}") if kind == "table" else text
+    cells = [[r[0], text(r[1]), text(r[2]), text(r[3]), rel_text(r[4]), text(r[5]), str(r[6])]
+             for r in rows]
+    if kind == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows([["label", "past", "present", "abs", "rel", "indicator", "rank"], *cells])
+        return buf.getvalue()
+    headers = ["label", "past", "present", "abs", "rel", f"{indicator}_{lam:.4g}", "rank"]
+    widths = [max(len(row[i]) for row in [headers, *cells]) for i in range(7)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+                   for row in [headers, *cells])
+
+
+@pytest.mark.parametrize("precision", [2, 15])
+@pytest.mark.parametrize("kind", ["table", "csv", "json"])
+@pytest.mark.parametrize("indicator, lam", [("f", 0.5), ("F", -1.0)])
+def test_output_across_json_blocks_matches_reference(capsys, tmp_path, indicator, lam, kind,
+                                                     precision):
+    path = tmp_path / "blocks.csv"
+    write_seeded_csv(path, n=2 * cli._JSON_BLOCK + 1)
+    out = rank_stdout(capsys, path, "--indicator", indicator, "--lambda", repr(lam),
+                      "--format", kind, "--precision", str(precision))
+    ref = reference_stdout(path, indicator, lam, kind, precision)
+    # A short message: pytest's own diff of two long strings takes minutes.
+    at = next((i for i, (a, b) in enumerate(zip(out, ref)) if a != b), min(len(out), len(ref)))
+    same = out == ref
+    assert same, f"differs at character {at}: {out[at - 40:at + 40]!r} != {ref[at - 40:at + 40]!r}"
