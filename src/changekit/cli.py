@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import islice, repeat, starmap
 from math import inf, isfinite
-from operator import sub, truediv
+from operator import itemgetter, sub, truediv
 from typing import Iterable, Sequence, TextIO
 
 from . import _kernels_py as kernels
@@ -159,17 +159,17 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     if not finite:
         evaluate = core.eval_f if indicator == "f" else core.eval_F
         values = [evaluate(lam, PositivePair(x, y)) for x, y in zip(xs, ys)]
-    # Labels are unique, so this is the order of the key (-value, label).
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    order.sort(key=values.__getitem__, reverse=True)
+    # Two stable sorts give the order of the key (-value, label).
+    observations = list(zip(labels, xs, ys, values))
+    observations.sort(key=itemgetter(0))
+    observations.sort(key=itemgetter(3), reverse=True)
     rows = []
     rank, head, band = 0, inf, 0.0
-    for i in order:
-        value = values[i]
+    for label, x, y, value in observations:
         if head - value > band:
             rank += 1
             head, band = value, RANK_TIE_REL * max(1.0, abs(value))
-        rows.append((labels[i], xs[i], ys[i], value, rank))
+        rows.append((label, x, y, value, rank))
     return rows
 
 
@@ -201,10 +201,11 @@ def render_reports(
             for label, x, y, a, r, v, k in zip(labels, *numbers, ranks)
         )
         # The blocks' items joined into one list: the bytes of json.dumps(rows).
+        # No row holds a container, so no check for circular references.
         out.write("[")
         sep = ""
         while block := list(islice(payload, _JSON_BLOCK)):
-            out.write(sep + json.dumps(block)[1:-1])
+            out.write(sep + json.dumps(block, check_circular=False)[1:-1])
             sep = ", "
         out.write("]\n")
         return
