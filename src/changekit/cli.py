@@ -19,9 +19,10 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice, repeat, starmap
 from math import inf, isfinite
-from operator import itemgetter, sub, truediv
+from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
 from . import _kernels_py as kernels
@@ -185,20 +186,23 @@ def render_reports(
 
     The absolute and relative changes are ``core.abs_change`` and
     ``core.rel_change``'s expressions.  csv and json are written as they
-    are formatted; the table holds its formatted columns for their widths.
+    are formatted; the table keeps its formatted cells for the widths.
     """
     p = fmt.precision
     full = p >= FULL_PRECISION
-    labels, xs, ys, values, ranks = zip(*rows) if rows else ((),) * 5
-    abs_changes = list(map(sub, ys, xs))  # y - x
-    rel_changes = map(truediv, abs_changes, xs)  # (y - x) / x
     if fmt.kind == "json":
-        numbers = (xs, ys, abs_changes, rel_changes, values)
-        if not full:
-            numbers = [map(round, col, repeat(p)) for col in numbers]
+        num = float if full else partial(round, ndigits=p)
         payload = (
-            {"label": label, "past": x, "present": y, "abs": a, "rel": r, "indicator": v, "rank": k}
-            for label, x, y, a, r, v, k in zip(labels, *numbers, ranks)
+            {
+                "label": label,
+                "past": num(x),
+                "present": num(y),
+                "abs": num(y - x),
+                "rel": num((y - x) / x),
+                "indicator": num(value),
+                "rank": rank,
+            }
+            for label, x, y, value, rank in rows
         )
         # The blocks' items joined into one list: the bytes of json.dumps(rows).
         # No row holds a container, so no check for circular references.
@@ -213,22 +217,24 @@ def render_reports(
     text = repr if full else f"{{:.{p}f}}".format
     # The table's rel cell is a percentage at every precision.
     rel_text = f"{{:.{p}%}}".format if table else text
-    columns = (labels, map(text, xs), map(text, ys), map(text, abs_changes),
-               map(rel_text, rel_changes), map(text, values), map(str, ranks))
+    cells = (
+        (label, text(x), text(y), text(y - x), rel_text((y - x) / x), text(value), str(rank))
+        for label, x, y, value, rank in rows
+    )
     if not table:
         # The writer quotes a label that holds a comma or a quote.  It would
         # leave a "\r" unquoted, so parse_csv refuses line breaks in labels.
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["label", "past", "present", "abs", "rel", "indicator", "rank"])
-        writer.writerows(zip(*columns))
+        writer.writerows(cells)
         return
-    columns = [list(col) for col in columns]  # the column widths need every row
+    cells = list(cells)  # the column widths need every row
     headers = ["label", "past", "present", "abs", "rel", f"{indicator}_{lam:.4g}", "rank"]
-    widths = [max(len(h), *map(len, col)) for h, col in zip(headers[:-1], columns)]
+    widths = [max(map(len, column)) for column in zip(headers[:-1], *cells)]
     # Cells are left-aligned; the last one is not padded, so no line ends in a space.
     line = "".join(f"{{:<{w}}}  " for w in widths) + "{}\n"
     out.write(line.format(*headers))
-    out.writelines(starmap(line.format, zip(*columns)))
+    out.writelines(starmap(line.format, cells))
     if unit:
         # Units are metadata only; the indicator value notionally carries
         # the unit raised to the (1 - lambda) power.

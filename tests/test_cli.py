@@ -215,6 +215,15 @@ class TestRendering:
         data = strict_json(bufs[0])
         assert list(data[0]) == ["label", "past", "present", "abs", "rel", "indicator", "rank"]
 
+    def test_no_rows(self):
+        outs = {}
+        for kind in ("table", "csv", "json"):
+            buf = io.StringIO()
+            render_reports([], OutputFormat(kind, 2), "f", 0.5, buf)
+            outs[kind] = buf.getvalue()
+        assert outs == {"table": "label  past  present  abs  rel  f_0.5  rank\n",
+                        "csv": "label,past,present,abs,rel,indicator,rank\n", "json": "[]\n"}
+
     def test_precision_bounds(self):
         with pytest.raises(ValidationError):
             OutputFormat("csv", 16)
