@@ -27,7 +27,6 @@ from changekit.cli import (
 )
 from changekit.axioms import SampleConfig
 from changekit.errors import ParseError, ValidationError
-from changekit.types import PositivePair
 
 EXAMPLE_CSV = """label,past,present
 I,10,20
