@@ -5,8 +5,8 @@ Exit codes are a stable contract: 0 success, 1 validation/parse error,
 2 internal numerical error.  Output is deterministic: identical inputs and
 flags produce byte-identical output (including JSON key order).
 
-``rank`` builds no object per row: ``parse_csv`` reads a ``Dataset`` of
-columns (labels, past and present values), ``rank_dataset`` evaluates the
+``rank`` holds no class instance per row: ``parse_csv`` reads a ``Dataset``
+of columns (labels, past and present values), ``rank_dataset`` evaluates the
 family once over the columns and returns ``Row`` tuples in rank order, and
 ``render_reports`` formats each row as it writes it.
 """
