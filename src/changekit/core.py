@@ -97,7 +97,8 @@ def cobb_douglas_f(lam: float, p: PositivePair) -> float:
 def quantity_indicator(lam: float, x: float, y: float) -> float:
     """Quantity variant y / x**lam: absolute quantity at lam = 0, relative at lam = 1.
 
-    Unlike PositivePair, y = 0 is allowed here.
+    Unlike PositivePair, y = 0 is allowed here.  A value that is not finite
+    raises NumericalError, as in eval_f.
     """
     lam = check_lambda(lam)
     x = float(x)
@@ -106,18 +107,20 @@ def quantity_indicator(lam: float, x: float, y: float) -> float:
         raise DomainError(f"reference quantity x must be positive, got {x!r}")
     if not (math.isfinite(y) and y >= 0):
         raise DomainError(f"quantity y must be nonnegative, got {y!r}")
-    return y / x**lam
+    return _checked("quantity_indicator", lambda lam, x, y: y / x**lam, lam, x, y)
 
 
 def relative_comparison(lam: float, a: PositivePair, b: PositivePair) -> float:
     """Unit-free quotient eval_f(lam, b) / eval_f(lam, a).
 
     Invariant under simultaneous rescaling of both pairs by any C > 0.
-    The reference pair a must not be stagnant.
+    The reference pair a must not be stagnant, and a quotient that is not
+    finite raises NumericalError.
     """
     lam = check_lambda(lam)
     if a.x == a.y:
         raise StagnantPairError(
             f"reference pair ({a.x}, {a.y}) is stagnant; its indicator value is zero"
         )
-    return eval_f(lam, b) / eval_f(lam, a)
+    return _checked("relative_comparison", lambda lam, fb, fa: fb / fa,
+                    lam, eval_f(lam, b), eval_f(lam, a))

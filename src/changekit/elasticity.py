@@ -2,36 +2,31 @@
 
 The generalized elasticity g'(x) * (x / g(x))**lam interpolates the
 marginal function (lam = 0) and the classical elasticity (lam = 1); the
-pre-limit difference quotient converges to it at rate O(h).  A float
-overflow or division by zero in any of them raises NumericalError.
+pre-limit difference quotient converges to it at rate O(h).  A result that
+is not finite, or a float overflow or division by zero, raises NumericalError.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DomainError, NumericalError
 from .types import check_lambda
 
-#: Relative step for the central-difference fallback derivative.
-FD_STEP_REL = 1e-6
-
 
 @dataclass(frozen=True)
 class EconFunction:
-    """A positive-valued function of one positive variable.
+    """A positive-valued function of one positive variable and its exact derivative.
 
-    ``derivative`` is the exact derivative when available; otherwise the
-    marginal function falls back to a central finite difference.
     Evaluators must be effect-free and positive on the declared domain
     (needed so (x / g(x))**lam is real for every lam).
     """
 
     name: str
     eval: Callable[[float], float]
-    derivative: Optional[Callable[[float], float]] = None
+    derivative: Callable[[float], float]
 
     def value(self, x: float) -> float:
         if not (math.isfinite(x) and x > 0):
@@ -43,44 +38,40 @@ class EconFunction:
 
 
 def _numerical(fn):
-    """``fn`` with an OverflowError or ZeroDivisionError raised as NumericalError from it."""
+    """``fn`` raising NumericalError for a non-finite result or (from it) an arithmetic error."""
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            value = fn(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:
             raise NumericalError(f"{fn.__name__}: {type(exc).__name__}: {exc}") from exc
+        if math.isfinite(value):
+            return value
+        raise NumericalError(f"{fn.__name__}: result is not finite: {value!r}")
 
     return checked
 
 
 @_numerical
 def marginal(g: EconFunction, x: float) -> float:
-    """g'(x): the exact derivative if provided, else a central difference (O(h**2))."""
+    """g'(x), at an x where g.value accepts x and g(x)."""
     g.value(x)
-    if g.derivative is not None:
-        return g.derivative(x)
-    h = x * FD_STEP_REL
-    return (g.eval(x + h) - g.eval(x - h)) / (2.0 * h)
+    return g.derivative(x)
 
 
-@_numerical
 def classical_elasticity(g: EconFunction, x: float) -> float:
-    """g'(x) * x / g(x): the limit ratio of relative output to input change."""
-    return marginal(g, x) * x / g.value(x)
+    """The lam = 1 member, g'(x) * x / g(x): the limit ratio of relative output to input change."""
+    return generalized_elasticity(1.0, g, x)
 
 
 @_numerical
 def generalized_elasticity(lam: float, g: EconFunction, x: float) -> float:
-    """g'(x) * (x / g(x))**lam.
+    """g'(x) * (x / g(x))**lam, one expression for every lam.
 
-    lam = 0 returns the marginal function bitwise, since (x / g)**0.0 == 1.0.
-    lam = 1 returns classical_elasticity bitwise through its own branch: the
-    general form rounds m * (x / g), classical_elasticity rounds m * x / g.
+    lam = 0 returns the marginal function bitwise, since (x / g)**0.0 == 1.0,
+    and lam = 1 is classical_elasticity.
     """
     lam = check_lambda(lam)
-    if lam == 1.0:
-        return classical_elasticity(g, x)
     return marginal(g, x) * (x / g.value(x)) ** lam
 
 

@@ -376,6 +376,16 @@ class TestCommands:
         assert (code, out) == (2, "") and "OverflowError" in err
         assert err.startswith("numerical error: NumericalError: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["elasticity", "--fn", "power:A=1e200,k=1", "--lambda=-1.5", "--x", "1"],
+         "generalized_elasticity: result is not finite: inf"),
+        (["compare", "--ref", "1,1.0000000000000002", "--cmp", "1,1e300", "--lambda", "0.5"],
+         "relative_comparison[0.5](1e+300, 2.220446049250313e-16) is not finite: inf"),
+    ], ids=["elasticity", "compare"])
+    def test_non_finite_value_is_numerical_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"numerical error: NumericalError: {message}\n")
+
     def test_plot_data_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "plot-data")
         assert code == 0

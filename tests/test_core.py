@@ -254,6 +254,16 @@ class TestQuantityIndicator:
         with pytest.raises(DomainError):
             quantity_indicator(0.5, 1, -0.5)
 
+    @pytest.mark.parametrize("lam, x, y, cause", [
+        (400, 1e-3, 1.0, ZeroDivisionError), (-400, 1e-3, 1.0, OverflowError),
+        (1.0, 5e-324, 1.0, type(None)),
+    ])
+    def test_non_finite_value_is_numerical_error(self, lam, x, y, cause):
+        # x**lam underflows to 0 or overflows; y / x is inf without an exception.
+        with pytest.raises(NumericalError, match=r"quantity_indicator\[") as info:
+            quantity_indicator(lam, x, y)
+        assert type(info.value.__cause__) is cause
+
 
 class TestRelativeComparison:
     def test_worked_example_quotient(self):
@@ -273,6 +283,15 @@ class TestRelativeComparison:
     def test_stagnant_reference_rejected(self):
         with pytest.raises(StagnantPairError):
             relative_comparison(0.5, pair(4, 4), pair(1, 2))
+
+    @pytest.mark.parametrize("lam, a, b", [
+        (0.5, pair(1, 1.0000000000000002), pair(1, 1e300)),
+        (-30, pair(1e-10, 1.0000000000000002e-10), pair(1, 2)),
+    ])
+    def test_non_finite_quotient_is_numerical_error(self, lam, a, b):
+        # The first quotient is inf; the second divides by f(a), which underflows to 0.
+        with pytest.raises(NumericalError, match=r"relative_comparison\["):
+            relative_comparison(lam, a, b)
 
     @given(lambdas, st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=200)

@@ -1,11 +1,12 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from changekit import DomainError, NumericalError
 from changekit.elasticity import (
-    FD_STEP_REL,
     EconFunction,
     affine_function,
     classical_elasticity,
@@ -17,7 +18,32 @@ from changekit.elasticity import (
     power_function,
 )
 
-EPS = 2.0**-52
+#: Unit roundoff of doubles: every correctly rounded operation is off by at
+#: most this factor of its exact result; libm's pow and exp by at most twice
+#: it (one ulp).
+U = sys.float_info.epsilon / 2
+
+
+def _closed_form_cases():
+    """(g, exact classical elasticity at x, bound on the relative error at x)."""
+    for A, k in ((5, 0.3), (2, 1.7), (0.5, -1.25), (1e300, 2)):
+        # m = (A*k) * x**(k-1) and g = A * x**k: three roundings, two pows,
+        # then x / g and m * (x / g).  k - 1 rounds by dk, which x**(k-1)
+        # turns into a relative error dk * ln(x).
+        dk = float(Fraction(k) - 1 - Fraction(k - 1.0))
+        yield (power_function(A, k), lambda x, k=k: Fraction(k),
+               lambda x, dk=dk: 9 * U + abs(dk * math.log(x)))
+    for A, b in ((0.5, 0.9), (2, -0.4)):
+        # m = (A*b) * e and g = A * e share one e = exp(b*x), whose error
+        # cancels: A*b, m, g, x / g and m * (x / g) round once each.
+        yield (exponential_function(A, b), lambda x, b=b: Fraction(b) * Fraction(x),
+               lambda x: 5 * U)
+    for a, b in ((1, 3), (2, -0.01), (-1e-6, 1)):
+        # g = a + b*x: b*x's rounding grows by |b*x / g| in the sum; then the
+        # sum, x / g and b * (x / g) round once each; m = b is exact.
+        yield (affine_function(a, b),
+               lambda x, a=a, b=b: Fraction(b) * Fraction(x) / (a + Fraction(b) * Fraction(x)),
+               lambda x, a=a, b=b: (3 + abs(b * x / (a + b * x))) * U)
 
 
 class TestMarginal:
@@ -31,30 +57,18 @@ class TestMarginal:
         exact = 1.5 * 2 ** (-0.7)
         assert marginal(g, 2.0) == pytest.approx(exact, rel=1e-15)
         assert exact == pytest.approx(0.92335, abs=5e-5)
-        # finite-difference path agrees with the closed form
-        no_deriv = EconFunction(g.name, g.eval)
-        assert marginal(no_deriv, 2.0) == pytest.approx(exact, rel=1e-6)
-
-    def test_finite_difference_on_builtins(self):
-        for g in (power_function(2, 1.7), exponential_function(0.5, 0.9), affine_function(1, 3)):
-            stripped = EconFunction(g.name, g.eval)
-            for x in (1e-7, 2e-6, 0.5, 1.0, 4.0):
-                # The step h = x * FD_STEP_REL keeps x - h in the domain.  A few
-                # ulps of g over h err by about eps / (FD_STEP_REL * E) relative
-                # to g', with E the classical elasticity: large near x = 0
-                # unless g scales with x.
-                value = marginal(stripped, x)
-                assert type(value) is float
-                rounding = 4 * EPS / (FD_STEP_REL * classical_elasticity(g, x))
-                assert value == pytest.approx(marginal(g, x), rel=1e-6 + rounding)
 
     def test_domain_errors(self):
         g = power_function(1, 2)
         with pytest.raises(DomainError):
             marginal(g, -1.0)
-        negative = EconFunction("neg", lambda x: -1.0)
+        negative = EconFunction("neg", lambda x: -1.0, lambda x: 0.0)
         with pytest.raises(DomainError):
             marginal(negative, 1.0)
+
+    def test_derivative_is_required(self):
+        with pytest.raises(TypeError, match="derivative"):
+            EconFunction("sqrt", math.sqrt)
 
 
 class TestClassicalElasticity:
@@ -71,6 +85,21 @@ class TestClassicalElasticity:
         g = affine_function(4, 0)
         assert classical_elasticity(g, 3.0) == 0.0
 
+    @pytest.mark.parametrize("g, closed_form, bound", [
+        pytest.param(*case, id=case[0].name) for case in _closed_form_cases()])
+    def test_builtins_match_closed_forms(self, g, closed_form, bound):
+        # The bound sums the first-order relative errors above; 1.001 covers
+        # their products.
+        xs = np.exp(np.random.default_rng(18).uniform(math.log(1e-5), math.log(1e2), 2000))
+        for x in xs.tolist():
+            exact = closed_form(x)
+            error = abs(Fraction(classical_elasticity(g, x)) - exact) / abs(exact)
+            assert error <= 1.001 * bound(x), x
+
+    def test_no_overflow_in_m_times_x(self):
+        # m * x = 2e308 overflows; m * (x / g) is the constant elasticity.
+        assert classical_elasticity(power_function(1e300, 2), 1e4) == 2.0
+
 
 class TestGeneralizedElasticity:
     def test_endpoints_bitwise(self):
@@ -85,13 +114,14 @@ class TestGeneralizedElasticity:
         assert generalized_elasticity(0.5, g, 4.0) == pytest.approx(4.0, rel=1e-15)
 
     def test_closed_form_matches_finite_difference_path(self):
-        g = power_function(5, 0.3)
-        stripped = EconFunction(g.name, g.eval)
-        for lam in (0.25, 0.5, 1.5):
-            for x in (0.7, 2.0, 9.0):
-                assert generalized_elasticity(lam, g, x) == pytest.approx(
-                    generalized_elasticity(lam, stripped, x), rel=1e-5
-                )
+        # The pre-limit quotient needs no derivative.  At h = x * 1e-8 its
+        # O(h) term and the rounding of g over h are each below 1e-7 here.
+        for g in (power_function(5, 0.3), exponential_function(0.5, 0.9), affine_function(1, 3)):
+            for lam in (0.0, 0.25, 0.5, 1.0, 1.5):
+                for x in (0.7, 2.0, 9.0):
+                    assert generalized_elasticity(lam, g, x) == pytest.approx(
+                        elasticity_quotient(lam, g, x, x * 1e-8), rel=1e-6
+                    )
 
 
 class TestElasticityQuotient:
@@ -146,6 +176,18 @@ class TestNumericalErrors:
             call()
         assert type(info.value.__cause__) is cause
         assert str(info.value).startswith(f"{where}: {cause.__name__}: ")
+
+    @pytest.mark.parametrize("call, where", [
+        (lambda: generalized_elasticity(-1.5, power_function(1e200, 1), 1.0),
+         "generalized_elasticity"),
+        (lambda: marginal(power_function(1e300, 0.5), 1e-20), "marginal"),
+    ], ids=["generalized", "marginal"])
+    def test_non_finite_result_is_numerical_error(self, call, where):
+        # Each true value, 1e500 and 5e309, is past the float range: the
+        # product rounds to inf with no exception to chain.
+        with pytest.raises(NumericalError, match=f"^{where}: result is not finite: inf$") as info:
+            call()
+        assert info.value.__cause__ is None
 
 
 class TestRegistry:

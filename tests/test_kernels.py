@@ -10,6 +10,7 @@ import changekit
 from changekit import (
     BACKEND,
     EconFunction,
+    NumericalError,
     PositivePair,
     elasticity_quotient,
     eval_F,
@@ -45,6 +46,8 @@ def test_default_backend_reported():
 def test_f_endpoints_are_the_classical_formulas_bitwise():
     # x**0.0 == 1.0 and x**1.0 == x exactly, subnormal x included, so the
     # general expressions need no endpoint branch anywhere in the range.
+    # quantity_indicator and elasticity_quotient refuse a value that is not
+    # finite, such as y / x for subnormal x, where the formula gives inf or nan.
     rng = np.random.default_rng(7)
     n = 2000
     xs = np.exp(rng.uniform(math.log(1e-320), math.log(1e308), n))
@@ -52,7 +55,7 @@ def test_f_endpoints_are_the_classical_formulas_bitwise():
     pairs = list(zip(xs.tolist(), ys.tolist()))
     steps = [(x, y - x) for x, y in pairs if y != x and x + (y - x) > 0]
     g = math.sqrt
-    sqrt = EconFunction("sqrt", g)
+    sqrt = EconFunction("sqrt", g, lambda x: 0.5 / g(x))
     classical = {
         0.0: (lambda x, y: y - x, lambda x, y: y,
               lambda x, h: (g(x + h) - g(x)) / h),
@@ -63,6 +66,15 @@ def test_f_endpoints_are_the_classical_formulas_bitwise():
     def bits(values):
         return np.asarray(values, dtype=float).view(np.int64)
 
+    def assert_bitwise_or_refused(checked, ref, lam, args):
+        want = [ref(*a) for a in args]
+        finite = [a for a, w in zip(args, want) if math.isfinite(w)]
+        assert np.array_equal(bits([checked(lam, *a) for a in finite]),
+                              bits([w for w in want if math.isfinite(w)]))
+        for a in set(args) - set(finite):
+            with pytest.raises(NumericalError):
+                checked(lam, *a)
+
     for lam, (f_ref, q_ref, e_ref) in classical.items():
         want = bits([f_ref(x, y) for x, y in pairs])
         assert np.array_equal(bits([kernels.f_scalar(lam, x, y) for x, y in pairs]), want)
@@ -70,10 +82,9 @@ def test_f_endpoints_are_the_classical_formulas_bitwise():
         with np.errstate(over="ignore"):  # y / x overflows for subnormal x
             kernels.f_many(lam, xs, ys, out)
         assert np.array_equal(bits(out), want)
-        assert np.array_equal(bits([quantity_indicator(lam, x, y) for x, y in pairs]),
-                              bits([q_ref(x, y) for x, y in pairs]))
-        assert np.array_equal(bits([elasticity_quotient(lam, sqrt, x, h) for x, h in steps]),
-                              bits([e_ref(x, h) for x, h in steps]))
+        assert_bitwise_or_refused(quantity_indicator, q_ref, lam, pairs)
+        assert_bitwise_or_refused(lambda lam, x, h: elasticity_quotient(lam, sqrt, x, h),
+                                  e_ref, lam, steps)
 
 
 @pytest.mark.parametrize("lam", [1.5, 2.0, 5.0, 20.0])
