@@ -1,9 +1,12 @@
-"""The evaluation kernels of both families, in pure Python and numpy.
+"""The evaluation kernels of both families: ``math`` for one pair, numpy for arrays.
 
 Each family's formula is written once and takes floats or arrays: scalar
 paths call it on floats, batch paths on arrays, and the one adapter
 ``_many`` writes a batch result into a caller-supplied ``out`` array.
 Non-finite results are left to the callers.
+
+numpy is not imported with this module: ``_many`` imports it on the first
+batch call, so one-pair callers (``core``, ``rank``) never load it.
 
 ``f`` needs no endpoint branch: ``x**0.0 == 1.0`` and ``x**1.0 == x`` are
 exact in IEEE arithmetic, so its one expression returns ``y - x`` at
@@ -16,8 +19,6 @@ is ``F_scalar``, bound to numpy it is the formula behind ``F_many``.  Its
 lam = 1 branch is the one log-ratio of the package.
 """
 import math
-
-import numpy as np
 
 
 def f_scalar(lam, x, y):
@@ -44,9 +45,18 @@ def _F(log, expm1):
     return F
 
 
-def _many(kernel):
-    """The batch form of ``kernel``: its value over arrays, written into ``out`` and returned."""
+def _many(bind):
+    """The batch form of the kernel that ``bind(numpy)`` returns: its value
+    over arrays, written into ``out`` and returned.  The first call imports
+    numpy and binds the kernel; later calls reuse it."""
+    kernel = None
+
     def many(lam: float, xs, ys, out):
+        nonlocal kernel
+        import numpy as np
+
+        if kernel is None:
+            kernel = bind(np)
         out[...] = kernel(lam, np.asarray(xs), np.asarray(ys))
         return out
 
@@ -54,5 +64,5 @@ def _many(kernel):
 
 
 F_scalar = _F(math.log, math.expm1)
-f_many = _many(f_scalar)
-F_many = _many(_F(np.log, np.expm1))
+f_many = _many(lambda np, f=f_scalar: f)  # f's one expression takes arrays as it stands
+F_many = _many(lambda np: _F(np.log, np.expm1))

@@ -20,6 +20,11 @@ assert the forward direction (a family satisfies an axiom) or exhibit a
 violating sample (a competitor fails one); no function-space search is
 attempted.
 
+``SampleConfig`` is defined in ``types``, which loads no numpy, so that
+the command line can build one without importing this module; it is the
+same class here.  This is the one module of the package that imports numpy
+when it is imported.
+
 All checkers are pure given their config: the sample stream is a function
 of the seed alone, so repeat runs produce bit-identical reports.  A report
 serializes a non-finite float (an overflowed residual or value) as None,
@@ -34,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels_py as kernels
-from .errors import ValidationError
+from .types import SampleConfig
 
 #: Default residual tolerance for the exact identities, adapted to doubles.
 TOLERANCE = 1e-9
@@ -46,29 +51,6 @@ VIOLATION_FLOOR = 1e-6
 #: range to exercise scale extremes: the axioms quantify over all positive
 #: reals, so scale coverage matters more than density.
 VALUE_RANGE = (1e-3, 1e3)
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    """Sampling plan for one check: the generator's seed, the number of
-    samples, and the range ``check_normed`` draws lambda from.  Every other
-    sampled quantity lies in VALUE_RANGE.
-    """
-
-    seed: int = 20260824
-    count: int = 10_000
-    lambda_range: tuple[float, float] = (-2.0, 3.0)
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
-        if self.count < 1:
-            raise ValidationError(f"sample count must be positive, got {self.count}")
-        if self.lambda_range[0] > self.lambda_range[1]:
-            raise ValidationError(f"lambda_range is empty: {self.lambda_range}")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 @dataclass

@@ -25,9 +25,9 @@ from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
 from . import _kernels_py as kernels
-from . import approximation, axioms, calibration, core, elasticity
+from . import approximation, calibration, core, elasticity
 from .errors import ChangekitError, ParseError, ValidationError
-from .types import PositivePair, check_lambda
+from .types import PositivePair, SampleConfig, check_lambda
 
 DEFAULT_LAMBDA = 0.5  # the symmetric choice between absolute and relative
 
@@ -305,18 +305,23 @@ _VERIFY_PLAN = {
 _ENDPOINT_TARGETS = {"abs": ("f", 0.0), "rel": ("f", 1.0), "log": ("F", 1.0)}
 
 
-def _target_indicator(target: str, lam: float) -> axioms.BatchFn:
+def _target_indicator(target: str, lam: float):
+    """The target's indicator, an ``axioms.BatchFn``."""
+    from . import axioms
+
     family, lam = _ENDPOINT_TARGETS.get(target, (target, lam))
     return axioms.f_indicator(lam) if family == "f" else axioms.F_indicator(lam)
 
 
-def run_verify(target: str, lam: float, cfg: axioms.SampleConfig) -> tuple[list[dict], bool]:
+def run_verify(target: str, lam: float, cfg: SampleConfig) -> tuple[list[dict], bool]:
     """Run the check plan for one target.
 
     Returns the serialized reports (each annotated with its expectation) and
     the overall verdict: every expected-pass check passed and every
     expected-fail check produced a violation above the demonstration floor.
     """
+    from . import axioms  # the one command that loads numpy
+
     if target not in _VERIFY_PLAN:
         raise ValidationError(f"unknown verify target {target!r}")
     ind = _target_indicator(target, lam)
@@ -382,7 +387,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_verify(args) -> int:
     lam = check_lambda(args.lam)
-    cfg = axioms.SampleConfig(seed=args.seed, count=args.samples)
+    cfg = SampleConfig(seed=args.seed, count=args.samples)
     results, ok = run_verify(args.target, lam, cfg)
     print(json.dumps(results))
     return 0 if ok else 2
@@ -456,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the randomized axiom checks")
     p_ver.add_argument("--target", choices=sorted(_VERIFY_PLAN), required=True)
     add_lambda(p_ver)
-    plan = axioms.SampleConfig()  # an instance: perfbench's tracer swaps classes for functions
+    plan = SampleConfig()  # an instance: perfbench's tracer swaps classes for functions
     p_ver.add_argument("--seed", type=int, default=plan.seed,
                        help=f"sampling seed (default {plan.seed})")
     p_ver.add_argument("--samples", type=int, default=plan.count)

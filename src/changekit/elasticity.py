@@ -141,10 +141,13 @@ def parse_function_spec(spec: str) -> EconFunction:
             key, sep, val = item.partition("=")
             if not sep:
                 raise DomainError(f"malformed parameter {item!r} in {spec!r}; expected name=value")
+            key = key.strip()
+            if key in kwargs:
+                raise DomainError(f"parameter {key!r} repeated in {spec!r}")
             try:
-                kwargs[key.strip()] = float(val)
+                kwargs[key] = float(val)
             except ValueError:
-                raise DomainError(f"parameter {key.strip()!r} in {spec!r} is not a number: {val!r}")
+                raise DomainError(f"parameter {key!r} in {spec!r} is not a number: {val!r}")
     try:
         return REGISTRY[name](**kwargs)
     except TypeError as exc:

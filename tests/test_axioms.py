@@ -9,6 +9,7 @@ import pytest
 import decimal_ref
 
 from changekit import _kernels_py as kernels
+from changekit import types
 from changekit.axioms import (
     NORMED_H_FRACTIONS,
     CheckReport,
@@ -149,6 +150,10 @@ class TestReportsAndConfig:
             SampleConfig(lambda_range=(2.0, 1.0))
         with pytest.raises(ValidationError, match="seed"):
             SampleConfig(seed=-1)
+
+    def test_config_is_the_types_class(self):
+        # It lives in `types`, which loads no numpy, and is importable from here.
+        assert SampleConfig is types.SampleConfig
 
 
 class TestAffineLinearity:

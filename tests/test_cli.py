@@ -376,6 +376,16 @@ class TestCommands:
         assert (code, out) == (2, "") and "OverflowError" in err
         assert err.startswith("numerical error: NumericalError: ")
 
+    @pytest.mark.parametrize("spec, key", [
+        ("power:A=5,k=0.3,k=2", "k"),
+        ("affine:a=1,b=2,b=3", "b"),
+    ])
+    def test_elasticity_repeated_parameter_exits_one(self, capsys, spec, key):
+        # A repeated parameter is refused, not silently set to its last value.
+        code, out, err = run_cli(capsys, "elasticity", "--fn", spec, "--x", "2")
+        assert (code, out, err) == (
+            1, "", f"error: DomainError: parameter {key!r} repeated in {spec!r}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["elasticity", "--fn", "power:A=1e200,k=1", "--lambda=-1.5", "--x", "1"],
          "generalized_elasticity: result is not finite: inf"),

@@ -208,6 +208,8 @@ class TestRegistry:
             parse_function_spec("power:A")
         with pytest.raises(DomainError):
             parse_function_spec("power:A=5,q=2")
+        with pytest.raises(DomainError, match="parameter 'k' repeated in 'power:A=5, k=0.3,k =2'"):
+            parse_function_spec("power:A=5, k=0.3,k =2")  # the later value is not taken
 
     def test_positive_amplitude_required(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,11 @@
-"""The kernel module: batch and scalar paths agree, and the package reports it."""
+"""The kernel module: batch and scalar paths agree, the package reports it,
+and numpy loads only where a batch needs it."""
 import ast
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +42,59 @@ def test_batch_matches_scalar_same_backend():
         kernels.F_many(lam, xs, ys, out)
         for i in range(0, len(xs), 17):
             assert out[i] == pytest.approx(kernels.F_scalar(lam, xs[i], ys[i]), rel=1e-15)
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports this same changekit, checkout or installed package."""
+    env = dict(os.environ)
+    root = str(Path(changekit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+#: Child code: call the batch kernels named in argv[1], each (lam, kernel)
+#: in order, on the grid in argv[2]; print whether numpy was loaded before
+#: the first call and after it, and the hex of every value.  ``out`` takes
+#: only item assignment, so the child itself never imports numpy.
+LAZY_CALLS = """
+import json, sys
+from changekit import _kernels_py as kernels
+
+class Out:
+    def __setitem__(self, key, value):
+        self.value = value
+
+calls, (xs, ys) = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+loaded = ["numpy" in sys.modules]
+values = []
+for lam, name in calls:
+    values.append([v.hex() for v in getattr(kernels, name)(lam, xs, ys, Out()).value.tolist()])
+    loaded.append("numpy" in sys.modules)
+print(json.dumps([loaded, values]))
+"""
+
+
+@pytest.mark.parametrize("first", ["f_many", "F_many"])
+def test_first_batch_call_binds_numpy(first):
+    # Importing the kernels loads no numpy; the first batch call does, and
+    # it gives the same bits as the kernels bound in this process.
+    xs, ys = sample_inputs(200)
+    names = sorted(["f_many", "F_many"], key=lambda name: name != first)
+    calls = [(lam, name) for name in names for lam in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+    loaded, values = json.loads(run_fresh(LAZY_CALLS, json.dumps(calls),
+                                          json.dumps([xs.tolist(), ys.tolist()])))
+    assert loaded == [False] + [True] * len(calls)
+    out = np.empty(len(xs))
+    for (lam, name), got in zip(calls, values):
+        want = getattr(kernels, name)(lam, xs, ys, out)
+        assert got == [v.hex() for v in want.tolist()]
+        scalar = kernels.f_scalar if name == "f_many" else kernels.F_scalar
+        for i in range(0, len(xs), 17):
+            assert float.fromhex(got[i]) == pytest.approx(scalar(lam, xs[i], ys[i]), rel=1e-15)
 
 
 def test_default_backend_reported():
@@ -144,3 +202,64 @@ def test_only_the_cli_does_io():
 def test_no_module_imports_os():
     # Options are the only inputs: no module reads the environment.
     assert not {name for name, node in _package_nodes() if "os" in _imported_parts(node)}
+
+
+def _numpy_imports():
+    """(file name, innermost enclosing function or None) for every import of
+    numpy in the package."""
+    def visit(name, node, function):
+        for child in ast.iter_child_nodes(node):
+            if "numpy" in _imported_parts(child):
+                yield name, function
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            yield from visit(name, child, inner)
+
+    for path in Path(changekit.__file__).parent.glob("*.py"):
+        yield from visit(path.name, ast.parse(path.read_text()), None)
+
+
+def test_only_axioms_imports_numpy_at_module_level():
+    # `import changekit` loads no numpy: the batch adapter and the sampling
+    # plan's generator import it in the function that needs it.
+    assert sorted(_numpy_imports(), key=str) == [
+        ("_kernels_py.py", "many"), ("axioms.py", None), ("types.py", "rng")]
+
+
+#: Child code: import changekit, then run each argv of argv[1] through
+#: cli.main; print whether numpy was loaded after the import and after each
+#: command, with each command's exit code and stdout.
+CLI_RUNS = """
+import contextlib, io, json, sys
+import changekit
+loaded = "numpy" in sys.modules
+from changekit import cli
+runs = [["import", loaded, 0, ""], ["import cli", "numpy" in sys.modules, 0, ""]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([argv[0], "numpy" in sys.modules, code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_only_verify_loads_numpy(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("label,past,present\nI,10,20\nII,500,570\n")
+    argvs = [
+        ["rank", str(data), "--format", "json"],
+        ["rank", str(data), "--indicator", "F"],
+        ["compare", "--ref", "10,20", "--cmp", "80,135"],
+        ["calibrate", "--ref", "10,20", "--cmp", "80,135"],
+        ["elasticity", "--fn", "power:A=5,k=0.3", "--x", "2"],
+        ["plot-data", "--points", "3"],
+        ["verify", "--target", "F", "--lambda", "0.5", "--samples", "200"],
+    ]
+    runs = json.loads(run_fresh(CLI_RUNS, json.dumps(argvs)))
+    assert [(name, loaded, code) for name, loaded, code, _ in runs] == [
+        ("import", False, 0), ("import cli", False, 0), ("rank", False, 0), ("rank", False, 0),
+        ("compare", False, 0), ("calibrate", False, 0), ("elasticity", False, 0),
+        ("plot-data", False, 0), ("verify", True, 0)]
+    assert all(out for _, _, _, out in runs[2:])
+    golden = Path(__file__).resolve().parent / "golden" / "verify_F_lam0.5_samples200.json"
+    assert runs[-1][3] == golden.read_text()
