@@ -64,5 +64,7 @@ def _many(bind):
 
 
 F_scalar = _F(math.log, math.expm1)
-f_many = _many(lambda np, f=f_scalar: f)  # f's one expression takes arrays as it stands
+# f's one expression takes arrays as it stands.  The default binds the
+# function above, not what the module name holds at the first call.
+f_many = _many(lambda np, f=f_scalar: f)
 F_many = _many(lambda np: _F(np.log, np.expm1))
