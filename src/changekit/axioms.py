@@ -29,9 +29,20 @@ All checkers are pure given their config: the sample stream is a function
 of the seed alone, so repeat runs produce bit-identical reports.  A report
 serializes a non-finite float (an overflowed residual or value) as None,
 so its JSON stays strict.
+
+The drawn arrays are read-only, so an indicator that writes into its inputs
+raises instead of changing the samples of a later check.  Within one
+``shared_draws()`` block, as around the checks of one ``changekit verify``
+call, checkers that share a config share its draws: each array is drawn
+once, by the first checker that needs it, and a checker that draws past
+the shared arrays continues from the generator state it would have had on
+its own, so every report is the one a checker makes on its own.  The
+block's draws are dropped when it ends.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -101,16 +112,55 @@ def F_indicator(lam: float) -> BatchFn:
 
 def _log_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     lo, hi = VALUE_RANGE
-    return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    u = rng.uniform(math.log(lo), math.log(hi), n)
+    return np.exp(u, out=u)
+
+
+class _Draws(dict):
+    """The log-uniform arrays drawn so far from each config's generator:
+    cfg -> (generator, read-only arrays in draw order, generator state
+    before each draw and after the last)."""
+
+    def __missing__(self, cfg: SampleConfig):
+        rng = cfg.rng()
+        drawn = self[cfg] = (rng, [], [rng.bit_generator.state])
+        return drawn
+
+    def sample(self, cfg: SampleConfig, k: int) -> tuple:
+        rng, arrays, states = self[cfg]
+        while len(arrays) < k:
+            a = _log_uniform(rng, cfg.count)
+            a.flags.writeable = False
+            arrays.append(a)
+            states.append(rng.bit_generator.state)
+        after = cfg.rng()
+        after.bit_generator.state = states[k]
+        return after, *arrays[:k]
+
+
+#: The draws of the innermost ``shared_draws()`` block; None outside one.
+_shared: contextvars.ContextVar[_Draws | None] = contextvars.ContextVar(
+    "changekit_axioms_draws", default=None)
+
+
+@contextlib.contextmanager
+def shared_draws():
+    """Within the block, checkers that share a config draw its arrays once."""
+    token = _shared.set(_Draws())
+    try:
+        yield
+    finally:
+        _shared.reset(token)
 
 
 def _sample(cfg: SampleConfig, k: int) -> tuple:
-    """A fresh generator for ``cfg`` and the first k log-uniform arrays it draws.
+    """A generator for ``cfg`` and the first k log-uniform arrays it draws.
 
-    Draws after these k continue from the returned generator.
+    Draws after these k continue from the returned generator.  The arrays
+    are read-only; inside ``shared_draws()`` they are shared.
     """
-    rng = cfg.rng()
-    return rng, *(_log_uniform(rng, cfg.count) for _ in range(k))
+    draws = _shared.get()
+    return (_Draws() if draws is None else draws).sample(cfg, k)
 
 
 def _worst(residuals: np.ndarray, **columns: np.ndarray) -> tuple[float, dict]:
@@ -147,6 +197,7 @@ def check_naturality(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """
     _, x, y = _sample(cfg, 2)
     n_stag = max(1, cfg.count // 10)
+    y = y.copy()
     y[:n_stag] = x[:n_stag]
     v = ind(x, y)
     res = np.where(

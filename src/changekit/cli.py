@@ -327,24 +327,25 @@ def run_verify(target: str, lam: float, cfg: SampleConfig) -> tuple[list[dict], 
     ind = _target_indicator(target, lam)
     results: list[dict] = []
     all_ok = True
-    for name, expectation in _VERIFY_PLAN[target]:
-        expect_pass = expectation(lam) if callable(expectation) else expectation
-        if name == "normed":
-            report = axioms.check_normed(
-                axioms.F_indicator,
-                axioms.f_indicator,
-                replace(cfg, lambda_range=(lam, lam)),
-            )
-        else:
-            report = getattr(axioms, f"check_{name}")(ind, cfg)
-        if expect_pass:
-            ok = report.passed
-        else:
-            ok = (not report.passed) and report.max_residual > axioms.VIOLATION_FLOOR
-        all_ok = all_ok and ok
-        entry = report.to_dict()
-        entry["expected"] = "pass" if expect_pass else "fail"
-        results.append(entry)
+    with axioms.shared_draws():
+        for name, expectation in _VERIFY_PLAN[target]:
+            expect_pass = expectation(lam) if callable(expectation) else expectation
+            if name == "normed":
+                report = axioms.check_normed(
+                    axioms.F_indicator,
+                    axioms.f_indicator,
+                    replace(cfg, lambda_range=(lam, lam)),
+                )
+            else:
+                report = getattr(axioms, f"check_{name}")(ind, cfg)
+            if expect_pass:
+                ok = report.passed
+            else:
+                ok = (not report.passed) and report.max_residual > axioms.VIOLATION_FLOOR
+            all_ok = all_ok and ok
+            entry = report.to_dict()
+            entry["expected"] = "pass" if expect_pass else "fail"
+            results.append(entry)
     return results, all_ok
 
 

@@ -25,6 +25,7 @@ from changekit.axioms import (
     check_relative_scaling,
     check_vartia_invariance,
     f_indicator,
+    shared_draws,
 )
 from changekit.errors import ValidationError
 
@@ -154,6 +155,38 @@ class TestReportsAndConfig:
     def test_config_is_the_types_class(self):
         # It lives in `types`, which loads no numpy, and is importable from here.
         assert SampleConfig is types.SampleConfig
+
+
+class TestSharedDraws:
+    # relative_scaling draws the longest prefix; affine_linearity, after it,
+    # must still draw its t from the generator as it stands after 3 arrays.
+    CHECKS = (check_relative_scaling, check_affine_linearity, check_naturality,
+              check_vartia_invariance, check_antisymmetry, check_additivity)
+
+    @staticmethod
+    def writer(xs, ys):
+        xs[0] = 1.0
+        return ys - xs
+
+    def test_an_indicator_that_writes_into_its_samples_raises(self):
+        # Alone or sharing draws, the samples are read-only, so a later
+        # check never sees the changes of an earlier one.
+        alone = []
+        for check in self.CHECKS:
+            with pytest.raises(ValueError, match="read-only"):
+                check(self.writer, cfg())
+            alone.append(check(abs_indicator(), cfg()))
+        with shared_draws():
+            for check, report in zip(self.CHECKS, alone):
+                with pytest.raises(ValueError, match="read-only"):
+                    check(self.writer, cfg())
+                assert check(abs_indicator(), cfg()) == report
+
+    def test_shared_reports_are_the_reports_alone(self):
+        ind = f_indicator(0.5)
+        alone = [check(ind, cfg()) for check in self.CHECKS]
+        with shared_draws():
+            assert [check(ind, cfg()) for check in self.CHECKS] == alone
 
 
 class TestAffineLinearity:

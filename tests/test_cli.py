@@ -1,11 +1,15 @@
 import csv
+import gc
 import io
 import math
 import os
 import shlex
+import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import changekit
 from changekit import _kernels_py as kernels
+from changekit import axioms, cli
 from changekit.cli import (
     RANK_TIE_REL,
     Dataset,
@@ -620,6 +626,63 @@ class TestVerifyPlanInternals:
     def test_unknown_target(self):
         with pytest.raises(ValidationError):
             run_verify("nope", 0.5, SampleConfig(seed=1, count=10))
+
+    @pytest.mark.parametrize("target, draws", [("f", 5), ("F", 6), ("rel", 3), ("abs", 3), ("log", 3)])
+    def test_each_sample_array_is_drawn_once(self, monkeypatch, target, draws):
+        # The checks of one call share their config's draws: as many arrays
+        # as the longest prefix a check reads, plus check_normed's own.
+        calls = []
+        draw = axioms._log_uniform
+        monkeypatch.setattr(axioms, "_log_uniform", lambda rng, n: calls.append(n) or draw(rng, n))
+        run_verify(target, 0.5, SampleConfig(count=300))
+        assert calls == [300] * draws
+
+    @pytest.mark.parametrize("target, lam", [("f", 0.5), ("f", 1.0), ("F", 0.5), ("F", -1.5),
+                                             ("rel", 0.5), ("abs", 0.5), ("log", 0.5)])
+    def test_shared_draws_give_each_check_its_own_report(self, target, lam):
+        cfg = SampleConfig(count=40_000)
+        results, _ = run_verify(target, lam, cfg)
+        ind = cli._target_indicator(target, lam)
+        for (name, _), got in zip(cli._VERIFY_PLAN[target], results, strict=True):
+            if name == "normed":
+                alone = axioms.check_normed(axioms.F_indicator, axioms.f_indicator,
+                                            replace(cfg, lambda_range=(lam, lam)))
+            else:
+                alone = getattr(axioms, f"check_{name}")(ind, cfg)
+            assert got == {**alone.to_dict(), "expected": got["expected"]}
+
+    def test_no_drawn_array_outlives_the_call(self, monkeypatch):
+        drawn = []
+        draw = axioms._log_uniform
+
+        def tracked(rng, n):
+            a = draw(rng, n)
+            drawn.append(weakref.ref(a))
+            return a
+
+        monkeypatch.setattr(axioms, "_log_uniform", tracked)
+        for target in cli._VERIFY_PLAN:
+            run_verify(target, 0.5, SampleConfig(count=300))
+        gc.collect()
+        assert len(drawn) == 5 + 6 + 3 * 3
+        assert all(ref() is None for ref in drawn)
+
+
+def test_verify_warns_once_per_site_across_blocks():
+    # 40,000 samples span several kernel blocks.  Python's default filter
+    # prints each RuntimeWarning site once per process, so stderr names
+    # each site once, not once per block.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    root = str(Path(changekit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    assert 40_000 > 2 * kernels.BLOCK
+    proc = subprocess.run(
+        [sys.executable, "-m", "changekit.cli", "verify", "--target", "F", "--lambda", "60",
+         "--samples", "40000"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    sites = [line for line in proc.stderr.splitlines() if "RuntimeWarning" in line]
+    assert any("_kernels_py.py" in site for site in sites)
+    assert len(sites) == len(set(sites))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

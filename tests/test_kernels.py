@@ -44,6 +44,36 @@ def test_batch_matches_scalar_same_backend():
             assert out[i] == pytest.approx(kernels.F_scalar(lam, xs[i], ys[i]), rel=1e-15)
 
 
+@pytest.mark.parametrize("lam", [-1.5, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 1e-9])
+def test_blocked_batch_matches_whole_array_bitwise(lam):
+    # The batch kernels write their formula's value block by block; every
+    # element keeps the bits of one whole-array evaluation.
+    B = kernels.BLOCK
+    formulas = {"f_many": kernels.f_scalar, "F_many": kernels._F(np.log, np.expm1)}
+
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    for name, formula in formulas.items():
+        many = getattr(kernels, name)
+        for n in (0, 1, B - 1, B, B + 1, 3 * B + 7):
+            xs, ys = sample_inputs(n)
+            out = np.empty(n)
+            assert many(lam, xs, ys, out) is out
+            assert np.array_equal(bits(out), bits(formula(lam, xs, ys)))
+        # 2-D, as check_normed passes them, and a column broadcast over rows.
+        xs, ys = (a.reshape(-1, 4) for a in sample_inputs(4 * (B + 3)))
+        for x in (xs, xs[:, :1]):
+            out = np.empty(ys.shape)
+            many(lam, x, ys, out)
+            assert np.array_equal(bits(out), bits(formula(lam, x, ys)))
+        # A view that no flat array can alias: only its own elements change.
+        buf = np.full((len(xs), 8), -7.0)
+        many(lam, xs, ys, buf[:, 2:6])
+        assert np.array_equal(bits(buf[:, 2:6]), bits(formula(lam, xs, ys)))
+        assert np.all(buf[:, :2] == -7.0) and np.all(buf[:, 6:] == -7.0)
+
+
 def run_fresh(code: str, *args: str) -> str:
     """Stdout of ``code`` run with ``args`` in a fresh interpreter that
     imports this same changekit, checkout or installed package."""
@@ -58,21 +88,19 @@ def run_fresh(code: str, *args: str) -> str:
 
 #: Child code: call the batch kernels named in argv[1], each (lam, kernel)
 #: in order, on the grid in argv[2]; print whether numpy was loaded before
-#: the first call and after it, and the hex of every value.  ``out`` takes
-#: only item assignment, so the child itself never imports numpy.
+#: the first call and after it, and the hex of every value.  ``out`` is a
+#: stdlib buffer that the kernels write through, so the child itself never
+#: imports numpy.
 LAZY_CALLS = """
-import json, sys
+import array, json, sys
 from changekit import _kernels_py as kernels
-
-class Out:
-    def __setitem__(self, key, value):
-        self.value = value
 
 calls, (xs, ys) = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 loaded = ["numpy" in sys.modules]
 values = []
 for lam, name in calls:
-    values.append([v.hex() for v in getattr(kernels, name)(lam, xs, ys, Out()).value.tolist()])
+    out = array.array("d", bytes(8 * len(xs)))
+    values.append([v.hex() for v in getattr(kernels, name)(lam, xs, ys, out).tolist()])
     loaded.append("numpy" in sys.modules)
 print(json.dumps([loaded, values]))
 """
