@@ -44,13 +44,12 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 
 from . import _kernels_py as kernels
-from .types import SampleConfig
+from .types import SampleConfig, _Record
 
 #: Default residual tolerance for the exact identities, adapted to doubles.
 TOLERANCE = 1e-9
@@ -64,20 +63,24 @@ VIOLATION_FLOOR = 1e-6
 VALUE_RANGE = (1e-3, 1e3)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one property check over a sample stream."""
 
+    __slots__ = ("property_name", "samples", "max_residual", "worst_case", "tolerance", "passed")
     property_name: str
     samples: int
     max_residual: float
     worst_case: dict
     tolerance: float
-    passed: bool = field(init=False)
+    passed: bool
 
-    def __post_init__(self):
-        self.max_residual = float(self.max_residual)
-        self.tolerance = float(self.tolerance)
+    def __init__(self, property_name: str, samples: int, max_residual: float,
+                 worst_case: dict, tolerance: float):
+        self.property_name = property_name
+        self.samples = samples
+        self.max_residual = float(max_residual)
+        self.worst_case = worst_case
+        self.tolerance = float(tolerance)
         self.passed = bool(self.max_residual <= self.tolerance)
 
     def to_dict(self) -> dict:

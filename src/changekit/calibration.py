@@ -3,7 +3,6 @@ diagnostics that single out lambda = 1/2."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import eval_f
 from .errors import (
@@ -13,21 +12,21 @@ from .errors import (
     SignMismatchError,
     StagnantPairError,
 )
-from .types import PositivePair, check_lambda
+from .types import PositivePair, _FrozenRecord, _set, check_lambda
 
 # Below this the log in the calibration denominator is numerically meaningless.
 _MIN_LOG_PAST_RATIO = 1e-12
 
 
-@dataclass(frozen=True)
-class CalibrationInput:
+class CalibrationInput(_FrozenRecord):
     """Two pairs judged to represent the same amount of change."""
 
+    __slots__ = ("reference", "comparison")
     reference: PositivePair
     comparison: PositivePair
 
-    def __post_init__(self):
-        ref, cmp = self.reference, self.comparison
+    def __init__(self, reference: PositivePair, comparison: PositivePair):
+        ref, cmp = reference, comparison
         if ref.x == ref.y:
             raise StagnantPairError(f"reference pair ({ref.x}, {ref.y}) is stagnant")
         if cmp.x == cmp.y:
@@ -41,6 +40,8 @@ class CalibrationInput:
             raise SignMismatchError(
                 "the two pairs change in opposite directions; no lambda equates them"
             )
+        _set(self, "reference", reference)
+        _set(self, "comparison", comparison)
 
 
 def calibrate_lambda(inp: CalibrationInput) -> float:

@@ -17,17 +17,17 @@ import contextlib
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Sequence
 from functools import partial
+from io import TextIOBase
 from itertools import islice, repeat, starmap
 from math import inf, isfinite
 from operator import itemgetter
-from typing import Iterable, Sequence, TextIO
 
 from . import _kernels_py as kernels
 from . import approximation, calibration, core, elasticity
 from .errors import ChangekitError, ParseError, ValidationError
-from .types import PositivePair, SampleConfig, check_lambda
+from .types import PositivePair, SampleConfig, _FrozenRecord, _Record, _set, check_lambda
 
 DEFAULT_LAMBDA = 0.5  # the symmetric choice between absolute and relative
 
@@ -47,26 +47,33 @@ Row = tuple[str, float, float, float, int]
 _JSON_BLOCK = 4096
 
 
-@dataclass
-class Dataset:
+class Dataset(_Record):
     """Labeled observations in input order, as columns: ``labels[i]`` names
     the pair ``(xs[i], ys[i])``, each value finite and positive."""
 
+    __slots__ = ("labels", "xs", "ys")
     labels: list[str]
     xs: list[float]
     ys: list[float]
 
+    def __init__(self, labels: list[str], xs: list[float], ys: list[float]):
+        self.labels = labels
+        self.xs = xs
+        self.ys = ys
 
-@dataclass(frozen=True)
-class OutputFormat:
-    kind: str = "table"  # table | csv | json
-    precision: int = 2
 
-    def __post_init__(self):
-        if self.kind not in ("table", "csv", "json"):
-            raise ValidationError(f"unknown output format {self.kind!r}")
-        if not 0 <= self.precision <= FULL_PRECISION:
-            raise ValidationError(f"precision must be in [0, {FULL_PRECISION}], got {self.precision}")
+class OutputFormat(_FrozenRecord):
+    __slots__ = ("kind", "precision")
+    kind: str  # table | csv | json
+    precision: int
+
+    def __init__(self, kind: str = "table", precision: int = 2):
+        if kind not in ("table", "csv", "json"):
+            raise ValidationError(f"unknown output format {kind!r}")
+        if not 0 <= precision <= FULL_PRECISION:
+            raise ValidationError(f"precision must be in [0, {FULL_PRECISION}], got {precision}")
+        _set(self, "kind", kind)
+        _set(self, "precision", precision)
 
 
 def parse_csv(stream: Iterable[str], source: str = "<stdin>") -> Dataset:
@@ -178,7 +185,7 @@ def render_reports(
     fmt: OutputFormat,
     indicator: str,
     lam: float,
-    out: TextIO,
+    out: TextIOBase,
     unit: str = "",
 ) -> None:
     """Write ranked rows as a table, csv or json; ``unit`` is a table footnote.
@@ -334,7 +341,7 @@ def run_verify(target: str, lam: float, cfg: SampleConfig) -> tuple[list[dict], 
                 report = axioms.check_normed(
                     axioms.F_indicator,
                     axioms.f_indicator,
-                    replace(cfg, lambda_range=(lam, lam)),
+                    SampleConfig(cfg.seed, cfg.count, (lam, lam)),
                 )
             else:
                 report = getattr(axioms, f"check_{name}")(ind, cfg)

@@ -9,24 +9,29 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import DomainError, NumericalError
-from .types import check_lambda
+from .types import _FrozenRecord, _set, check_lambda
 
 
-@dataclass(frozen=True)
-class EconFunction:
+class EconFunction(_FrozenRecord):
     """A positive-valued function of one positive variable and its exact derivative.
 
     Evaluators must be effect-free and positive on the declared domain
     (needed so (x / g(x))**lam is real for every lam).
     """
 
+    __slots__ = ("name", "eval", "derivative")
     name: str
     eval: Callable[[float], float]
     derivative: Callable[[float], float]
+
+    def __init__(self, name: str, eval: Callable[[float], float],
+                 derivative: Callable[[float], float]):
+        _set(self, "name", name)
+        _set(self, "eval", eval)
+        _set(self, "derivative", derivative)
 
     def value(self, x: float) -> float:
         if not (math.isfinite(x) and x > 0):

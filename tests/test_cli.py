@@ -9,7 +9,6 @@ import sys
 import tempfile
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -646,7 +645,7 @@ class TestVerifyPlanInternals:
         for (name, _), got in zip(cli._VERIFY_PLAN[target], results, strict=True):
             if name == "normed":
                 alone = axioms.check_normed(axioms.F_indicator, axioms.f_indicator,
-                                            replace(cfg, lambda_range=(lam, lam)))
+                                            SampleConfig(cfg.seed, cfg.count, (lam, lam)))
             else:
                 alone = getattr(axioms, f"check_{name}")(ind, cfg)
             assert got == {**alone.to_dict(), "expected": got["expected"]}

@@ -253,20 +253,31 @@ def test_only_axioms_imports_numpy_at_module_level():
         ("_kernels_py.py", "many"), ("axioms.py", None), ("types.py", "rng")]
 
 
+def test_no_module_imports_dataclasses_or_typing():
+    # Both cost milliseconds at import (dataclasses pulls in inspect, ast,
+    # dis and tokenize); the value types are plain classes, and annotations
+    # take their abstract types from collections.abc.
+    assert not {name for name, node in _package_nodes()
+                if _imported_parts(node) & {"dataclasses", "typing"}}
+
+
 #: Child code: import changekit, then run each argv of argv[1] through
-#: cli.main; print whether numpy was loaded after the import and after each
-#: command, with each command's exit code and stdout.
+#: cli.main; print which of numpy, dataclasses and inspect were loaded
+#: after the import and after each command, with each command's exit code
+#: and stdout.
 CLI_RUNS = """
 import contextlib, io, json, sys
+def loaded():
+    return [name in sys.modules for name in ("numpy", "dataclasses", "inspect")]
 import changekit
-loaded = "numpy" in sys.modules
+runs = [["import", loaded(), 0, ""]]
 from changekit import cli
-runs = [["import", loaded, 0, ""], ["import cli", "numpy" in sys.modules, 0, ""]]
+runs.append(["import cli", loaded(), 0, ""])
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    runs.append([argv[0], "numpy" in sys.modules, code, out.getvalue()])
+    runs.append([argv[0], loaded(), code, out.getvalue()])
 print(json.dumps(runs))
 """
 
@@ -284,10 +295,12 @@ def test_only_verify_loads_numpy(tmp_path):
         ["verify", "--target", "F", "--lambda", "0.5", "--samples", "200"],
     ]
     runs = json.loads(run_fresh(CLI_RUNS, json.dumps(argvs)))
+    # Only numpy loads inspect; nothing loads dataclasses.
+    none, numpy = [False, False, False], [True, False, True]
     assert [(name, loaded, code) for name, loaded, code, _ in runs] == [
-        ("import", False, 0), ("import cli", False, 0), ("rank", False, 0), ("rank", False, 0),
-        ("compare", False, 0), ("calibrate", False, 0), ("elasticity", False, 0),
-        ("plot-data", False, 0), ("verify", True, 0)]
+        ("import", none, 0), ("import cli", none, 0), ("rank", none, 0), ("rank", none, 0),
+        ("compare", none, 0), ("calibrate", none, 0), ("elasticity", none, 0),
+        ("plot-data", none, 0), ("verify", numpy, 0)]
     assert all(out for _, _, _, out in runs[2:])
     golden = Path(__file__).resolve().parent / "golden" / "verify_F_lam0.5_samples200.json"
     assert runs[-1][3] == golden.read_text()

@@ -8,14 +8,16 @@ import pytest
 from changekit.axioms import CheckReport
 from changekit.calibration import CalibrationInput
 from changekit.cli import Dataset, OutputFormat
+from changekit.core import eval_f
 from changekit.elasticity import EconFunction
 from changekit.errors import (
+    DomainError,
     EqualPastValuesError,
     SignMismatchError,
     StagnantPairError,
     ValidationError,
 )
-from changekit.types import PositivePair, SampleConfig
+from changekit.types import PositivePair, SampleConfig, check_lambda
 
 P = inspect.Parameter.POSITIONAL_OR_KEYWORD
 NO = inspect.Parameter.empty
@@ -167,3 +169,61 @@ REFUSALS = [
 @pytest.mark.parametrize("make, error, message", REFUSALS)
 def test_constructor_refusals(make, error, message):
     assert _refusal(make) == (error, message)
+
+
+#: Values that ``float()`` refuses or overflows on, each refused by name
+#: instead of with ``float()``'s own error: (constructor call, error, message).
+BAD_NUMBERS = [
+    (lambda: PositivePair(10**400, 1), ValidationError,
+     f"past value must be a finite positive number, got {10**400!r}"),
+    (lambda: PositivePair(None, 1), ValidationError,
+     "past value must be a finite positive number, got None"),
+    (lambda: PositivePair(1, "one"), ValidationError,
+     "present value must be a finite positive number, got 'one'"),
+    (lambda: PositivePair(1, [2.0]), ValidationError,
+     "present value must be a finite positive number, got [2.0]"),
+    (lambda: check_lambda(10**400), DomainError,
+     f"lambda must be a finite real number, got {10**400!r}"),
+    (lambda: check_lambda(None), DomainError, "lambda must be a finite real number, got None"),
+    (lambda: check_lambda("half"), DomainError,
+     "lambda must be a finite real number, got 'half'"),
+    (lambda: eval_f(-(10**400), PositivePair(1, 2)), DomainError,
+     f"lambda must be a finite real number, got {-(10**400)!r}"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", BAD_NUMBERS, ids=[
+    "pair-overflow", "pair-none", "pair-text", "pair-list",
+    "lambda-overflow", "lambda-none", "lambda-text", "eval_f-overflow"])
+def test_bad_numbers_are_refused_by_name(make, error, message):
+    assert _refusal(make) == (error, message)
+    with pytest.raises(ValueError):  # what callers catching ValueError rely on
+        make()
+
+
+#: Sampling plans that numpy refused only later, or never:
+#: (SampleConfig keywords, message).
+BAD_CONFIGS = [
+    ({"count": 2.5}, "sample count must be an integer, got 2.5"),
+    ({"count": True}, "sample count must be an integer, got True"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"lambda_range": (math.nan, 1.0)}, "lambda_range must be two finite numbers, got (nan, 1.0)"),
+    ({"lambda_range": (0.0, math.inf)}, "lambda_range must be two finite numbers, got (0.0, inf)"),
+    ({"lambda_range": (0.0, 1.0, 2.0)},
+     "lambda_range must be two finite numbers, got (0.0, 1.0, 2.0)"),
+    ({"lambda_range": (None, 1.0)}, "lambda_range must be two finite numbers, got (None, 1.0)"),
+    ({"lambda_range": 1.0}, "lambda_range must be two finite numbers, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", BAD_CONFIGS)
+def test_sample_config_refuses_what_it_cannot_store(kwargs, message):
+    assert _refusal(lambda: SampleConfig(**kwargs)) == (ValidationError, message)
+
+
+def test_sample_config_stores_lambda_range_as_two_floats():
+    cfg = SampleConfig(lambda_range=[0, 1])
+    assert cfg.lambda_range == (0.0, 1.0) and type(cfg.lambda_range[0]) is float
+    assert cfg == SampleConfig(lambda_range=(0.0, 1.0)) and hash(cfg)
