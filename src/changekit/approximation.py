@@ -6,15 +6,14 @@ import math
 
 from .core import _checked, eval_F, eval_f
 from .errors import DomainError
-from .types import PositivePair, check_lambda
+from .types import PositivePair, _integer, check_lambda
 
 # Coefficients beyond this order are numerically negligible or overflow-prone.
 MAX_TAYLOR_ORDER = 64
 
 
 def _check_order(n: int) -> int:
-    n = int(n)
-    if not 1 <= n <= MAX_TAYLOR_ORDER:
+    if not 1 <= _integer("Taylor order", n) <= MAX_TAYLOR_ORDER:
         raise DomainError(f"Taylor order must be in [1, {MAX_TAYLOR_ORDER}], got {n}")
     return n
 

@@ -8,17 +8,17 @@ function of arrays, such as ``lambda x, y: y - x``.  There is one
 evaluation path: every checker, ``check_normed`` included, evaluates whole
 sample arrays and never calls an indicator one pair at a time.
 
-Each checker draws its inputs from a SampleConfig through one sampling
-path: a fresh generator for the seed, then log-uniform arrays over
-VALUE_RANGE in a fixed order.  It evaluates the residual of one identity
-and reports the worst case.  Residuals of the exact identities are
-computed in one place, ``_identity_report``, and normalized by
-max(1, |reference|): relative where the reference magnitude exceeds one,
-absolute below.  ``check_normed`` reports the ratio of
-|F - f| to its Lagrange remainder bound instead.  The checkers only ever
-assert the forward direction (a family satisfies an axiom) or exhibit a
-violating sample (a competitor fails one); no function-space search is
-attempted.
+Each checker reads its inputs from a SampleConfig's stream: log-uniform
+arrays over VALUE_RANGE, array i drawn from the seed's generator at
+``i * count`` steps in, so that it depends on (seed, count, i) alone.  It
+evaluates the residual of one identity and reports the worst case.
+Residuals of the exact identities are computed in one place,
+``_identity_report``, and normalized by max(1, |reference|): relative where
+the reference magnitude exceeds one, absolute below.  ``check_normed``
+reports the ratio of |F - f| to its Lagrange remainder bound instead.  The
+checkers only ever assert the forward direction (a family satisfies an
+axiom) or exhibit a violating sample (a competitor fails one); no
+function-space search is attempted.
 
 ``SampleConfig`` is defined in ``types``, which loads no numpy, so that
 the command line can build one without importing this module; it is the
@@ -26,18 +26,17 @@ same class here.  This is the one module of the package that imports numpy
 when it is imported.
 
 All checkers are pure given their config: the sample stream is a function
-of the seed alone, so repeat runs produce bit-identical reports.  A report
-serializes a non-finite float (an overflowed residual or value) as None,
-so its JSON stays strict.
+of the seed and count alone, so repeat runs produce bit-identical reports.
+A report serializes a non-finite float (an overflowed residual or value) as
+None, so its JSON stays strict.
 
 The drawn arrays are read-only, so an indicator that writes into its inputs
 raises instead of changing the samples of a later check.  Within one
 ``shared_draws()`` block, as around the checks of one ``changekit verify``
-call, checkers that share a config share its draws: each array is drawn
-once, by the first checker that needs it, and a checker that draws past
-the shared arrays continues from the generator state it would have had on
-its own, so every report is the one a checker makes on its own.  The
-block's draws are dropped when it ends.
+call, each array of a (seed, count) stream is drawn once, by the first
+checker that needs it.  An array is the same wherever it is read from, so
+every report is the one a checker makes on its own.  The block's draws are
+dropped when it ends.
 """
 from __future__ import annotations
 
@@ -119,37 +118,29 @@ def _log_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(u, out=u)
 
 
-class _Draws(dict):
-    """The log-uniform arrays drawn so far from each config's generator:
-    cfg -> (generator, read-only arrays in draw order, generator state
-    before each draw and after the last)."""
+def _at(cfg: SampleConfig, i: int) -> np.random.Generator:
+    """A generator for ``cfg`` at the start of array i of its stream.
 
-    def __missing__(self, cfg: SampleConfig):
-        rng = cfg.rng()
-        drawn = self[cfg] = (rng, [], [rng.bit_generator.state])
-        return drawn
-
-    def sample(self, cfg: SampleConfig, k: int) -> tuple:
-        rng, arrays, states = self[cfg]
-        while len(arrays) < k:
-            a = _log_uniform(rng, cfg.count)
-            a.flags.writeable = False
-            arrays.append(a)
-            states.append(rng.bit_generator.state)
-        after = cfg.rng()
-        after.bit_generator.state = states[k]
-        return after, *arrays[:k]
+    Every array of the stream is ``cfg.count`` doubles, and each double is
+    one step of the seed's PCG64 generator, so array i begins
+    ``i * cfg.count`` steps in.  A sampler that draws arrays of another
+    length, or more than one step per value, must change this too.
+    """
+    rng = cfg.rng()
+    rng.bit_generator.advance(i * cfg.count)
+    return rng
 
 
-#: The draws of the innermost ``shared_draws()`` block; None outside one.
-_shared: contextvars.ContextVar[_Draws | None] = contextvars.ContextVar(
+#: The arrays drawn in the innermost ``shared_draws()`` block, by
+#: (seed, count, position); None outside one.
+_shared: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "changekit_axioms_draws", default=None)
 
 
 @contextlib.contextmanager
 def shared_draws():
-    """Within the block, checkers that share a config draw its arrays once."""
-    token = _shared.set(_Draws())
+    """Within the block, checkers that share a seed and count draw each array once."""
+    token = _shared.set({})
     try:
         yield
     finally:
@@ -157,13 +148,21 @@ def shared_draws():
 
 
 def _sample(cfg: SampleConfig, k: int) -> tuple:
-    """A generator for ``cfg`` and the first k log-uniform arrays it draws.
+    """Arrays 0 to k - 1 of ``cfg``'s stream, log-uniform over VALUE_RANGE.
 
-    Draws after these k continue from the returned generator.  The arrays
-    are read-only; inside ``shared_draws()`` they are shared.
+    The arrays are read-only; inside ``shared_draws()`` they are shared.
     """
     draws = _shared.get()
-    return (_Draws() if draws is None else draws).sample(cfg, k)
+    if draws is None:
+        draws = {}
+    arrays = []
+    for i in range(k):
+        key = (cfg.seed, cfg.count, i)
+        if key not in draws:
+            draws[key] = _log_uniform(_at(cfg, i), cfg.count)
+            draws[key].flags.writeable = False
+        arrays.append(draws[key])
+    return tuple(arrays)
 
 
 def _worst(residuals: np.ndarray, **columns: np.ndarray) -> tuple[float, dict]:
@@ -182,8 +181,8 @@ def _identity_report(
 
 def check_affine_linearity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, (1-t)*y1 + t*y2) = (1-t)*f(x, y1) + t*f(x, y2)."""
-    rng, x, y1, y2 = _sample(cfg, 3)
-    t = rng.uniform(0.0, 1.0, cfg.count)
+    x, y1, y2 = _sample(cfg, 3)
+    t = _at(cfg, 3).uniform(0.0, 1.0, cfg.count)
     ym = (1.0 - t) * y1 + t * y2
     lhs = ind(x, ym)
     rhs = (1.0 - t) * ind(x, y1) + t * ind(x, y2)
@@ -198,7 +197,7 @@ def check_naturality(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     spuriously-zero value (floored at 1 so silent zeros still register),
     and |f(x, x)| at stagnation.  Tolerance is exact zero.
     """
-    _, x, y = _sample(cfg, 2)
+    x, y = _sample(cfg, 2)
     n_stag = max(1, cfg.count // 10)
     y = y.copy()
     y[:n_stag] = x[:n_stag]
@@ -216,7 +215,7 @@ def check_naturality(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
 
 def check_relative_scaling(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) * f(C*x2, C*y2) = f(x2, y2) * f(C*x, C*y) for all C > 0."""
-    _, x, y, x2, y2, c = _sample(cfg, 5)
+    x, y, x2, y2, c = _sample(cfg, 5)
     lhs = ind(x, y) * ind(c * x2, c * y2)
     rhs = ind(x2, y2) * ind(c * x, c * y)
     return _identity_report("relative_scaling", cfg, lhs, rhs, lhs, x=x, y=y, x2=x2, y2=y2, C=c)
@@ -224,14 +223,14 @@ def check_relative_scaling(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
 
 def check_vartia_invariance(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """Full scale invariance f(C*x, C*y) = f(x, y) (the axiom relaxed for f_lam)."""
-    _, x, y, c = _sample(cfg, 3)
+    x, y, c = _sample(cfg, 3)
     base = ind(x, y)
     return _identity_report("vartia_invariance", cfg, ind(c * x, c * y), base, base, x=x, y=y, C=c)
 
 
 def check_antisymmetry(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) = -f(y, x)."""
-    _, x, y = _sample(cfg, 2)
+    x, y = _sample(cfg, 2)
     fwd = ind(x, y)
     # fwd - (-bwd) is fwd + bwd exactly: negation is exact in IEEE arithmetic.
     return _identity_report("antisymmetry", cfg, fwd, -ind(y, x), fwd, x=x, y=y)
@@ -239,7 +238,7 @@ def check_antisymmetry(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
 
 def check_additivity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) + f(y, z) = f(x, z) over chained transitions."""
-    _, x, y, z = _sample(cfg, 3)
+    x, y, z = _sample(cfg, 3)
     lhs = ind(x, y) + ind(y, z)
     rhs = ind(x, z)
     return _identity_report("additivity", cfg, lhs, rhs, rhs, x=x, y=y, z=z)
@@ -265,10 +264,10 @@ def check_normed(
     Samples that share a lambda are evaluated together: one call to each
     family member covers them at every h-fraction.
     """
-    rng = cfg.rng()
     n = cfg.count
-    lams = rng.uniform(*cfg.lambda_range, n)
-    xs = _log_uniform(rng, n)
+    # The lambdas take the generator steps of array 0, so the xs are array 1.
+    lams = cfg.rng().uniform(*cfg.lambda_range, n)
+    xs = _sample(cfg, 2)[1]
     h = xs[:, None] * np.array(NORMED_H_FRACTIONS)
     x = np.broadcast_to(xs[:, None], h.shape)
     y = x + h

@@ -27,7 +27,7 @@ from operator import itemgetter
 from . import _kernels_py as kernels
 from . import approximation, calibration, core, elasticity
 from .errors import ChangekitError, ParseError, ValidationError
-from .types import PositivePair, SampleConfig, _FrozenRecord, _Record, _set, check_lambda
+from .types import PositivePair, SampleConfig, _FrozenRecord, _Record, _integer, _set, check_lambda
 
 DEFAULT_LAMBDA = 0.5  # the symmetric choice between absolute and relative
 
@@ -70,7 +70,7 @@ class OutputFormat(_FrozenRecord):
     def __init__(self, kind: str = "table", precision: int = 2):
         if kind not in ("table", "csv", "json"):
             raise ValidationError(f"unknown output format {kind!r}")
-        if not 0 <= precision <= FULL_PRECISION:
+        if not 0 <= _integer("precision", precision) <= FULL_PRECISION:
             raise ValidationError(f"precision must be in [0, {FULL_PRECISION}], got {precision}")
         _set(self, "kind", kind)
         _set(self, "precision", precision)

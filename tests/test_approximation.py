@@ -10,6 +10,7 @@ from changekit import (
     DomainError,
     NumericalError,
     PositivePair,
+    ValidationError,
     box_cox,
     eval_F,
     eval_f,
@@ -146,6 +147,12 @@ class TestTaylorSeries:
             taylor_F(0.5, PositivePair(1, 2), 0)
         with pytest.raises(DomainError):
             taylor_F(0.5, PositivePair(1, 2), 65)
+
+    @pytest.mark.parametrize("order", [2.7, 3.0, "3", True, None])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValidationError) as info:
+            taylor_F(0.5, PositivePair(1, 1.1), order)
+        assert str(info.value) == f"Taylor order must be an integer, got {order!r}"
 
 
 class TestRemainderBound:

@@ -9,7 +9,7 @@ import pytest
 import decimal_ref
 
 from changekit import _kernels_py as kernels
-from changekit import types
+from changekit import axioms, types
 from changekit.axioms import (
     NORMED_H_FRACTIONS,
     CheckReport,
@@ -158,8 +158,8 @@ class TestReportsAndConfig:
 
 
 class TestSharedDraws:
-    # relative_scaling draws the longest prefix; affine_linearity, after it,
-    # must still draw its t from the generator as it stands after 3 arrays.
+    # relative_scaling draws arrays 0-4; affine_linearity, after it, still
+    # draws its t from position 3 of the stream.
     CHECKS = (check_relative_scaling, check_affine_linearity, check_naturality,
               check_vartia_invariance, check_antisymmetry, check_additivity)
 
@@ -187,6 +187,24 @@ class TestSharedDraws:
         alone = [check(ind, cfg()) for check in self.CHECKS]
         with shared_draws():
             assert [check(ind, cfg()) for check in self.CHECKS] == alone
+
+    def test_normed_reads_the_array_naturality_drew(self):
+        # normed's xs are position 1 of the stream, which naturality draws
+        # first; its lambda_range is not part of the key.
+        c = cfg(lambda_range=(0.5, 0.5))
+        alone = check_normed(F_indicator, f_indicator, c)
+        with shared_draws():
+            check_naturality(F_indicator(0.5), cfg())
+            assert check_normed(F_indicator, f_indicator, c) == alone
+
+    @pytest.mark.parametrize("count", [1, 300, kernels.BLOCK + 1])
+    def test_array_i_starts_where_i_arrays_end(self, count):
+        c = cfg(count=count)
+        rng = c.rng()
+        for i in range(6):
+            assert axioms._at(c, i).bit_generator.state == rng.bit_generator.state
+            assert np.array_equal(axioms._log_uniform(axioms._at(c, i), count),
+                                  axioms._log_uniform(rng, count))
 
 
 class TestAffineLinearity:

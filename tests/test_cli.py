@@ -626,10 +626,10 @@ class TestVerifyPlanInternals:
         with pytest.raises(ValidationError):
             run_verify("nope", 0.5, SampleConfig(seed=1, count=10))
 
-    @pytest.mark.parametrize("target, draws", [("f", 5), ("F", 6), ("rel", 3), ("abs", 3), ("log", 3)])
+    @pytest.mark.parametrize("target, draws", [("f", 5), ("F", 5), ("rel", 3), ("abs", 3), ("log", 3)])
     def test_each_sample_array_is_drawn_once(self, monkeypatch, target, draws):
         # The checks of one call share their config's draws: as many arrays
-        # as the longest prefix a check reads, plus check_normed's own.
+        # as the most that one check reads.  check_normed reads array 1.
         calls = []
         draw = axioms._log_uniform
         monkeypatch.setattr(axioms, "_log_uniform", lambda rng, n: calls.append(n) or draw(rng, n))
@@ -663,7 +663,7 @@ class TestVerifyPlanInternals:
         for target in cli._VERIFY_PLAN:
             run_verify(target, 0.5, SampleConfig(count=300))
         gc.collect()
-        assert len(drawn) == 5 + 6 + 3 * 3
+        assert len(drawn) == 5 + 5 + 3 * 3
         assert all(ref() is None for ref in drawn)
 
 

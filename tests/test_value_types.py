@@ -131,8 +131,7 @@ def _refusal(make):
     return type(info.value), str(info.value)
 
 
-#: Every refusal the constructors made before the types were rewritten:
-#: (constructor call, error class, message).
+#: Every constructor refusal: (constructor call, error class, message).
 REFUSALS = [
     (lambda: PositivePair(-1, 2), ValidationError,
      "past value must be a finite positive number, got -1.0"),
@@ -163,6 +162,10 @@ REFUSALS = [
     (lambda: OutputFormat("xml"), ValidationError, "unknown output format 'xml'"),
     (lambda: OutputFormat("csv", 16), ValidationError, "precision must be in [0, 15], got 16"),
     (lambda: OutputFormat("csv", -1), ValidationError, "precision must be in [0, 15], got -1"),
+    (lambda: OutputFormat("table", 2.5), ValidationError, "precision must be an integer, got 2.5"),
+    (lambda: OutputFormat("table", True), ValidationError,
+     "precision must be an integer, got True"),
+    (lambda: OutputFormat("table", "2"), ValidationError, "precision must be an integer, got '2'"),
 ]
 
 
