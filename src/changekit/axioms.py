@@ -5,17 +5,20 @@ An indicator under test is a batch function: sample arrays (xs, ys) in,
 an array of values out.  ``f_indicator(lam)`` and ``F_indicator(lam)`` are
 the two families through the batch kernels; any other indicator is a plain
 function of arrays, such as ``lambda x, y: y - x``.  There is one
-evaluation path: every checker, ``check_normed`` included, evaluates whole
-sample arrays and never calls an indicator one pair at a time.
+evaluation path: every checker, ``check_normed`` included, evaluates slices
+of its sample arrays of at most ``_kernels_py.BLOCK`` samples, and never
+calls an indicator one pair at a time.  So an indicator must work element
+by element: its output i may depend only on its inputs i.
 
 Each checker reads its inputs from a SampleConfig's stream: log-uniform
 arrays over VALUE_RANGE, array i drawn from the seed's generator at
 ``i * count`` steps in, so that it depends on (seed, count, i) alone.  It
-evaluates the residual of one identity and reports the worst case.
-Residuals of the exact identities are computed in one place,
-``_identity_report``, and normalized by max(1, |reference|): relative where
-the reference magnitude exceeds one, absolute below.  ``check_normed``
-reports the ratio of |F - f| to its Lagrange remainder bound instead.  The
+evaluates the residual of one identity, one block of samples at a time, in
+``_worst_case``, which keeps the worst case in sample order.  A block's
+temporaries stay in cache; the drawn arrays stay whole.  Residuals of the
+exact identities are normalized by max(1, |reference|): relative where the
+reference magnitude exceeds one, absolute below.  ``check_normed`` reports
+the ratio of |F - f| to its Lagrange remainder bound instead.  The
 checkers only ever assert the forward direction (a family satisfies an
 axiom) or exhibit a violating sample (a competitor fails one); no
 function-space search is attempted.
@@ -98,7 +101,7 @@ def _finite_or_none(v: float) -> float | None:
 
 
 #: An indicator under test: sample arrays (xs, ys) -> values, total on the
-#: positive quadrant.
+#: positive quadrant and elementwise, since checkers pass it slices.
 BatchFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -147,8 +150,8 @@ def shared_draws():
         _shared.reset(token)
 
 
-def _sample(cfg: SampleConfig, k: int) -> tuple:
-    """Arrays 0 to k - 1 of ``cfg``'s stream, log-uniform over VALUE_RANGE.
+def _sample(cfg: SampleConfig, *positions: int) -> tuple:
+    """The arrays at ``positions`` in ``cfg``'s stream, log-uniform over VALUE_RANGE.
 
     The arrays are read-only; inside ``shared_draws()`` they are shared.
     """
@@ -156,7 +159,7 @@ def _sample(cfg: SampleConfig, k: int) -> tuple:
     if draws is None:
         draws = {}
     arrays = []
-    for i in range(k):
+    for i in positions:
         key = (cfg.seed, cfg.count, i)
         if key not in draws:
             draws[key] = _log_uniform(_at(cfg, i), cfg.count)
@@ -165,83 +168,122 @@ def _sample(cfg: SampleConfig, k: int) -> tuple:
     return tuple(arrays)
 
 
-def _worst(residuals: np.ndarray, **columns: np.ndarray) -> tuple[float, dict]:
-    i = int(np.argmax(residuals))
-    return float(residuals[i]), {k: float(v[i]) for k, v in columns.items()}
-
-
-def _identity_report(
-    name: str, cfg: SampleConfig, lhs: np.ndarray, rhs: np.ndarray, ref: np.ndarray, **columns
+def _worst_case(
+    name: str, cfg: SampleConfig, tolerance: float,
+    residual: Callable[[int, dict], np.ndarray], **arrays: np.ndarray,
 ) -> CheckReport:
-    """The report on an exact identity lhs = rhs: residual |lhs - rhs| / max(1, |ref|)."""
-    res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(ref))
-    worst, case = _worst(res, **columns)
-    return CheckReport(name, cfg.count, worst, case, TOLERANCE)
+    """The report on ``residual`` over the named sample arrays, in blocks.
+
+    ``residual(lo, block)`` takes the first sample's position and a dict of
+    the arrays' slices ``[lo, lo + BLOCK)``, by name, and returns the
+    residual of each sample in the block.  It may add or replace columns
+    in the dict, each of the residual's shape.  The worst case reports every
+    column at the first largest residual in sample order, by ``np.argmax``'s
+    rule over the whole stream: the first NaN, or else the first maximum.
+    """
+    worst, case, n = -math.inf, {}, kernels.BLOCK
+    for lo in range(0, cfg.count, n):
+        block = {k: a[lo:lo + n] for k, a in arrays.items()}
+        res = residual(lo, block)
+        i = np.unravel_index(np.argmax(res), res.shape)
+        r = float(res[i])
+        if r > worst or (math.isnan(r) and not math.isnan(worst)):
+            worst, case = r, {k: float(v[i]) for k, v in block.items()}
+    return CheckReport(name, cfg.count, worst, case, tolerance)
+
+
+def _identity_residual(lhs: np.ndarray, rhs: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The residual of an exact identity lhs = rhs: |lhs - rhs| / max(1, |ref|)."""
+    return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(ref))
 
 
 def check_affine_linearity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, (1-t)*y1 + t*y2) = (1-t)*f(x, y1) + t*f(x, y2)."""
-    x, y1, y2 = _sample(cfg, 3)
+    def residual(lo, b):
+        x, y1, y2, t = b["x"], b["y1"], b["y2"], b["t"]
+        lhs = ind(x, (1.0 - t) * y1 + t * y2)
+        rhs = (1.0 - t) * ind(x, y1) + t * ind(x, y2)
+        return _identity_residual(lhs, rhs, rhs)
+
+    x, y1, y2 = _sample(cfg, 0, 1, 2)
     t = _at(cfg, 3).uniform(0.0, 1.0, cfg.count)
-    ym = (1.0 - t) * y1 + t * y2
-    lhs = ind(x, ym)
-    rhs = (1.0 - t) * ind(x, y1) + t * ind(x, y2)
-    return _identity_report("affine_linearity", cfg, lhs, rhs, rhs, x=x, y1=y1, y2=y2, t=t)
+    return _worst_case("affine_linearity", cfg, TOLERANCE, residual, x=x, y1=y1, y2=y2, t=t)
 
 
 def check_naturality(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """sign(f(x, y)) = sign(y - x), with f(x, x) = 0 exactly.
 
-    One tenth of the samples are exact stagnation pairs.  A sample's
-    residual is zero when the sign is correct, |f| for a wrong-signed or
-    spuriously-zero value (floored at 1 so silent zeros still register),
-    and |f(x, x)| at stagnation.  Tolerance is exact zero.
+    One tenth of the samples, the first, are exact stagnation pairs.  A
+    sample's residual is zero when the sign is correct, |f| for a
+    wrong-signed or spuriously-zero value (floored at 1 so silent zeros
+    still register), |f(x, x)| at stagnation and inf for a non-finite
+    value.  Tolerance is exact zero.
     """
-    x, y = _sample(cfg, 2)
     n_stag = max(1, cfg.count // 10)
-    y = y.copy()
-    y[:n_stag] = x[:n_stag]
-    v = ind(x, y)
-    res = np.where(
-        y == x,
-        np.abs(v),
-        np.where(np.sign(v) == np.sign(y - x), 0.0, np.maximum(np.abs(v), 1.0)),
-    )
-    if not np.all(np.isfinite(v)):
-        res = np.where(np.isfinite(v), res, np.inf)
-    worst, case = _worst(res, x=x, y=y, value=v)
-    return CheckReport("naturality", cfg.count, worst, case, 0.0)
+
+    def residual(lo, b):
+        x, y = b["x"], b["y"]
+        if lo < n_stag:
+            y = b["y"] = y.copy()
+            y[:n_stag - lo] = x[:n_stag - lo]
+        v = b["value"] = ind(x, y)
+        res = np.where(
+            y == x,
+            np.abs(v),
+            np.where(np.sign(v) == np.sign(y - x), 0.0, np.maximum(np.abs(v), 1.0)),
+        )
+        if not np.all(np.isfinite(v)):
+            res = np.where(np.isfinite(v), res, np.inf)
+        return res
+
+    x, y = _sample(cfg, 0, 1)
+    return _worst_case("naturality", cfg, 0.0, residual, x=x, y=y)
 
 
 def check_relative_scaling(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) * f(C*x2, C*y2) = f(x2, y2) * f(C*x, C*y) for all C > 0."""
-    x, y, x2, y2, c = _sample(cfg, 5)
-    lhs = ind(x, y) * ind(c * x2, c * y2)
-    rhs = ind(x2, y2) * ind(c * x, c * y)
-    return _identity_report("relative_scaling", cfg, lhs, rhs, lhs, x=x, y=y, x2=x2, y2=y2, C=c)
+    def residual(lo, b):
+        x, y, x2, y2, c = b["x"], b["y"], b["x2"], b["y2"], b["C"]
+        lhs = ind(x, y) * ind(c * x2, c * y2)
+        return _identity_residual(lhs, ind(x2, y2) * ind(c * x, c * y), lhs)
+
+    x, y, x2, y2, c = _sample(cfg, 0, 1, 2, 3, 4)
+    return _worst_case("relative_scaling", cfg, TOLERANCE, residual, x=x, y=y, x2=x2, y2=y2, C=c)
 
 
 def check_vartia_invariance(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """Full scale invariance f(C*x, C*y) = f(x, y) (the axiom relaxed for f_lam)."""
-    x, y, c = _sample(cfg, 3)
-    base = ind(x, y)
-    return _identity_report("vartia_invariance", cfg, ind(c * x, c * y), base, base, x=x, y=y, C=c)
+    def residual(lo, b):
+        x, y, c = b["x"], b["y"], b["C"]
+        base = ind(x, y)
+        return _identity_residual(ind(c * x, c * y), base, base)
+
+    x, y, c = _sample(cfg, 0, 1, 2)
+    return _worst_case("vartia_invariance", cfg, TOLERANCE, residual, x=x, y=y, C=c)
 
 
 def check_antisymmetry(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) = -f(y, x)."""
-    x, y = _sample(cfg, 2)
-    fwd = ind(x, y)
-    # fwd - (-bwd) is fwd + bwd exactly: negation is exact in IEEE arithmetic.
-    return _identity_report("antisymmetry", cfg, fwd, -ind(y, x), fwd, x=x, y=y)
+    def residual(lo, b):
+        x, y = b["x"], b["y"]
+        fwd = ind(x, y)
+        # fwd - (-bwd) is fwd + bwd exactly: negation is exact in IEEE arithmetic.
+        return _identity_residual(fwd, -ind(y, x), fwd)
+
+    x, y = _sample(cfg, 0, 1)
+    return _worst_case("antisymmetry", cfg, TOLERANCE, residual, x=x, y=y)
 
 
 def check_additivity(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
     """f(x, y) + f(y, z) = f(x, z) over chained transitions."""
-    x, y, z = _sample(cfg, 3)
-    lhs = ind(x, y) + ind(y, z)
-    rhs = ind(x, z)
-    return _identity_report("additivity", cfg, lhs, rhs, rhs, x=x, y=y, z=z)
+    def residual(lo, b):
+        x, y, z = b["x"], b["y"], b["z"]
+        lhs = ind(x, y) + ind(y, z)
+        rhs = ind(x, z)
+        return _identity_residual(lhs, rhs, rhs)
+
+    x, y, z = _sample(cfg, 0, 1, 2)
+    return _worst_case("additivity", cfg, TOLERANCE, residual, x=x, y=y, z=z)
 
 
 #: Relative step sizes for the shrinking-h normed check.
@@ -261,35 +303,39 @@ def check_normed(
     The reported residual is the largest ratio |F - f| / (K * h**2);
     passing means no ratio exceeded 1.
 
-    Samples that share a lambda are evaluated together: one call to each
-    family member covers them at every h-fraction.
+    Samples of a block that share a lambda are evaluated together: one call
+    to each family member covers them at every h-fraction.  Ratios that are
+    all zero, as at lam = 0, report no worst case.
     """
-    n = cfg.count
     # The lambdas take the generator steps of array 0, so the xs are array 1.
-    lams = cfg.rng().uniform(*cfg.lambda_range, n)
-    xs = _sample(cfg, 2)[1]
-    h = xs[:, None] * np.array(NORMED_H_FRACTIONS)
-    x = np.broadcast_to(xs[:, None], h.shape)
-    y = x + h
-    # Group the samples by lambda in one pass, without sorting (np.unique
-    # costs memory and buys nothing): one group when the lambda is fixed,
-    # one per sample when it is drawn.
-    groups: dict[float, list[int]] = {}
-    for i, lam in enumerate(lams.tolist()):
-        groups.setdefault(lam, []).append(i)
-    diff = np.empty(h.shape)
-    for lam, rows in groups.items():
-        xg, yg = x[rows], y[rows]
-        diff[rows] = np.abs(F_family(lam)(xg, yg) - f_family(lam)(xg, yg))
-    lam_col = lams[:, None]
-    xi = np.where(lam_col >= -1.0, x, y)
-    bound = np.abs(lam_col) * h * h / xi ** (1.0 + lam_col)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bound > 0.0, diff / bound, np.where(diff == 0.0, 0.0, np.inf))
-    # The worst case is the first largest ratio in (sample, h-fraction)
-    # order; a NaN ratio never counts.
-    ratio = np.fmax(ratio, 0.0)
-    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
-    worst = float(ratio[i, j])
-    case = {"lambda": float(lams[i]), "x": float(xs[i]), "h": float(h[i, j])} if worst > 0.0 else {}
-    return CheckReport("normed", n, worst, case, 1.0)
+    lams = cfg.rng().uniform(*cfg.lambda_range, cfg.count)
+    (xs,) = _sample(cfg, 1)
+    fractions = np.array(NORMED_H_FRACTIONS)
+
+    def residual(lo, b):
+        # Group the samples by lambda in one pass, without sorting (np.unique
+        # costs memory and buys nothing): one group when the lambda is fixed,
+        # one per sample when it is drawn.
+        groups: dict[float, list[int]] = {}
+        for i, lam in enumerate(b["lambda"].tolist()):
+            groups.setdefault(lam, []).append(i)
+        # Rows are samples and columns h-fractions, so the worst case is the
+        # first largest ratio in (sample, h-fraction) order.
+        lam_col = b["lambda"][:, None]
+        h = b["x"][:, None] * fractions
+        x = np.broadcast_to(b["x"][:, None], h.shape)
+        y = x + h
+        b["lambda"], b["x"], b["h"] = np.broadcast_to(lam_col, h.shape), x, h
+        diff = np.empty(h.shape)
+        for lam, rows in groups.items():
+            xg, yg = x[rows], y[rows]
+            diff[rows] = np.abs(F_family(lam)(xg, yg) - f_family(lam)(xg, yg))
+        xi = np.where(lam_col >= -1.0, x, y)
+        bound = np.abs(lam_col) * h * h / xi ** (1.0 + lam_col)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(bound > 0.0, diff / bound, np.where(diff == 0.0, 0.0, np.inf))
+        # A NaN ratio never counts.
+        return np.fmax(ratio, 0.0)
+
+    report = _worst_case("normed", cfg, 1.0, residual, **{"lambda": lams, "x": xs})
+    return report if report.max_residual > 0.0 else CheckReport("normed", cfg.count, 0.0, {}, 1.0)

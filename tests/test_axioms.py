@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from decimal import localcontext
 from functools import partial
 
@@ -205,6 +206,141 @@ class TestSharedDraws:
             assert axioms._at(c, i).bit_generator.state == rng.bit_generator.state
             assert np.array_equal(axioms._log_uniform(axioms._at(c, i), count),
                                   axioms._log_uniform(rng, count))
+
+    def test_normed_alone_draws_only_its_xs(self, monkeypatch):
+        # Its lambdas take the steps of array 0, which it never reads.
+        calls = []
+        draw = axioms._log_uniform
+        monkeypatch.setattr(axioms, "_log_uniform", lambda rng, n: calls.append(n) or draw(rng, n))
+        check_normed(F_indicator, f_indicator, cfg(count=300, lambda_range=(0.5, 0.5)))
+        assert calls == [300]
+
+
+BLOCK = kernels.BLOCK
+#: One sample, one block short, full and spilling by one, and several.
+BLOCK_COUNTS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+IDENTITY_CHECKS = (check_affine_linearity, check_naturality, check_relative_scaling,
+                   check_vartia_invariance, check_antisymmetry, check_additivity)
+#: Passing, failing and overflowing members: residuals of 0, finite, inf and NaN.
+BLOCK_INDICATORS = (f_indicator(0.5), F_indicator(0.5), rel_indicator(),
+                    F_indicator(-60.0), f_indicator(60.0), F_indicator(150.0))
+
+
+def whole_array_report(monkeypatch, count, run):
+    """``run()`` with the block size above ``count``: one block, the whole arrays."""
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "BLOCK", count + 1)
+        return run()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBlocks:
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    @pytest.mark.parametrize("check", IDENTITY_CHECKS, ids=lambda c: c.__name__)
+    def test_blocked_reports_are_the_whole_array_reports(self, monkeypatch, check, count):
+        # repr compares NaN residuals and the worst case's key order too.
+        c = cfg(count=count)
+        for ind in BLOCK_INDICATORS:
+            whole = whole_array_report(monkeypatch, count, lambda: check(ind, c))
+            assert repr(check(ind, c)) == repr(whole)
+
+    # lam None: a lambda per sample, one batch each, so only at two counts.
+    @pytest.mark.parametrize("lam, count", [(lam, n) for lam in (0.0, 0.5, -1.5, 150.0)
+                                            for n in BLOCK_COUNTS] + [(None, 1), (None, BLOCK + 1)])
+    def test_blocked_normed_is_the_whole_array_normed(self, monkeypatch, lam, count):
+        c = cfg(count=count) if lam is None else cfg(count=count, lambda_range=(lam, lam))
+        whole = whole_array_report(monkeypatch, count,
+                                   lambda: check_normed(F_indicator, f_indicator, c))
+        assert repr(check_normed(F_indicator, f_indicator, c)) == repr(whole)
+
+
+class TestWorstCaseMerge:
+    """Residuals planted on either side of block boundaries.
+
+    The worst case is ``np.argmax``'s over the whole stream: the first NaN,
+    or else the first largest value.
+    """
+
+    c = cfg(count=3 * BLOCK + 7)
+
+    def x(self, p):
+        return float(axioms._sample(self.c, 0)[0][p])
+
+    def planted(self, base, values):
+        """``base`` over (xs, ys), but ``values[p]`` where xs holds sample p's x."""
+        marks = [(self.x(p), v) for p, v in values.items()]
+
+        def ind(xs, ys):
+            out = base(xs, ys)
+            for m, v in marks:
+                out[xs == m] = v
+            return out
+
+        return ind
+
+    def antisymmetry(self, values):
+        # Zero is antisymmetric, so a planted value v leaves |v| / max(1, |v|).
+        return check_antisymmetry(self.planted(lambda xs, ys: np.zeros(np.shape(xs)), values), self.c)
+
+    def test_a_later_nan_beats_an_earlier_larger_residual(self):
+        r = self.antisymmetry({5: 0.75, 2 * BLOCK + 3: math.nan})
+        assert math.isnan(r.max_residual)
+        assert r.worst_case["x"] == self.x(2 * BLOCK + 3)
+
+    def test_the_first_nan_wins_once(self):
+        r = self.antisymmetry({BLOCK + 1: math.nan, 2 * BLOCK + 1: math.nan, 3 * BLOCK: 0.75})
+        assert math.isnan(r.max_residual)
+        assert r.worst_case["x"] == self.x(BLOCK + 1)
+
+    @pytest.mark.parametrize("first, second", [(5, BLOCK + 9), (BLOCK - 1, BLOCK)])
+    def test_of_equal_maxima_the_first_wins(self, first, second):
+        r = self.antisymmetry({first: 0.5, second: 0.5})
+        assert r.max_residual == 0.5
+        assert r.worst_case["x"] == self.x(first)
+
+    def test_a_later_larger_maximum_wins(self):
+        r = self.antisymmetry({5: 0.25, BLOCK + 5: 0.5})
+        assert r.max_residual == 0.5
+        assert r.worst_case["x"] == self.x(BLOCK + 5)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_naturality_scores_a_later_non_finite_value_inf(self, value):
+        # Sample 10 is stagnant, so its residual is its value, 1e300.
+        ind = self.planted(lambda xs, ys: ys - xs, {10: 1e300, BLOCK + 2: value, 2 * BLOCK + 3: math.inf})
+        r = check_naturality(ind, self.c)
+        assert r.max_residual == math.inf
+        assert r.worst_case["x"] == self.x(BLOCK + 2)
+
+
+#: Temporaries of BLOCK doubles that one block of a check may hold at once.
+BLOCK_ARRAYS = 16
+
+
+@pytest.mark.parametrize("check", IDENTITY_CHECKS + (check_normed,), ids=lambda c: c.__name__)
+def test_block_temporaries_bound_the_peak(check):
+    # tracemalloc sees numpy's data buffers.  The drawn arrays are made
+    # first, so the peak is what the check allocates: whole-array
+    # temporaries would be 12 of these units each at this count.
+    c = cfg(count=200_000, lambda_range=(0.5, 0.5))
+    unit = BLOCK * 8
+    allowance = BLOCK_ARRAYS * unit
+    if check is check_affine_linearity:
+        allowance += c.count * 8  # its t, drawn whole
+    if check is check_normed:
+        run = partial(check, F_indicator, f_indicator, c)
+        # its lambdas, drawn whole; a block's rows hold one sample per h-fraction
+        allowance = c.count * 8 + len(NORMED_H_FRACTIONS) * allowance
+    else:
+        run = partial(check, F_indicator(0.5), c)
+    with shared_draws():
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < allowance, f"{peak / unit:.1f} units of BLOCK doubles"
 
 
 class TestAffineLinearity:
