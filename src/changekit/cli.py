@@ -8,7 +8,10 @@ flags produce byte-identical output (including JSON key order).
 ``rank`` holds no class instance per row: ``parse_csv`` reads a ``Dataset``
 of columns (labels, past and present values), ``rank_dataset`` evaluates the
 family once over the columns and returns ``Row`` tuples in rank order, and
-``render_reports`` formats each row as it writes it.
+``render_reports`` formats each row with one ``%`` operation on a format
+string built once per call.  A relative change that overflows is refused
+with exit 2, as a value that is not finite is, so ``rank`` prints only
+finite numbers.
 """
 from __future__ import annotations
 
@@ -18,15 +21,15 @@ import csv
 import json
 import sys
 from collections.abc import Iterable, Sequence
-from functools import partial
 from io import TextIOBase
-from itertools import islice, repeat, starmap
+from itertools import islice, repeat
+from json.encoder import encode_basestring_ascii
 from math import inf, isfinite
 from operator import itemgetter
 
 from . import _kernels_py as kernels
 from . import approximation, calibration, core, elasticity
-from .errors import ChangekitError, ParseError, ValidationError
+from .errors import ChangekitError, NumericalError, ParseError, ValidationError
 from .types import PositivePair, SampleConfig, _FrozenRecord, _Record, _integer, _set, check_lambda
 
 DEFAULT_LAMBDA = 0.5  # the symmetric choice between absolute and relative
@@ -142,6 +145,11 @@ def parse_csv(stream: Iterable[str], source: str = "<stdin>") -> Dataset:
 def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     """Rows dense-ranked by the chosen family, sorted by descending value, then label.
 
+    A relative change ``(y - x) / x`` that is not finite, or not finite in
+    percent (times 100, as the table prints it), raises the NumericalError of
+    the first such row in input order, whatever the output format.  The
+    absolute change of two positive finite values is always finite.
+
     The values come from one pass of the scalar kernel.  If any of them is
     not finite, or the kernel signals an overflow, ``core.eval_f``/``eval_F``
     run over the rows in input order and raise the NumericalError of the
@@ -157,6 +165,14 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     if indicator not in ("f", "F"):
         raise ValidationError(f"indicator must be 'f' or 'F', got {indicator!r}")
     labels, xs, ys = ds.labels, ds.xs, ds.ys
+    # Rounding is monotone and fl(y - x) <= y, so every row's percentage is at
+    # most fl(max(ys) / min(xs) * 100): the rows are scanned only when that
+    # bound is not finite.
+    if not isfinite(max(ys) / min(xs) * 100):
+        for label, x, y in zip(labels, xs, ys):
+            if not isfinite((rel := (y - x) / x) * 100):
+                raise NumericalError(f"observation {label!r}: relative change ({y!r} - {x!r}) / "
+                                     f"{x!r} = {rel!r} is not finite in percent")
     kernel = kernels.f_scalar if indicator == "f" else kernels.F_scalar
     try:
         values = list(map(kernel, repeat(lam), xs, ys))
@@ -180,6 +196,16 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     return rows
 
 
+def _csv_label(label: str) -> str:
+    """The label as ``csv.writer`` writes it with ``lineterminator="\\n"``:
+    quoted, its quotes doubled, when it holds a comma, a quote or a line feed.
+    A carriage return stays unquoted, so parse_csv refuses line breaks in
+    labels."""
+    if "," in label or '"' in label or "\n" in label:
+        return '"%s"' % label.replace('"', '""')
+    return label
+
+
 def render_reports(
     rows: Sequence[Row],
     fmt: OutputFormat,
@@ -190,57 +216,56 @@ def render_reports(
 ) -> None:
     """Write ranked rows as a table, csv or json; ``unit`` is a table footnote.
 
-    The absolute and relative changes are ``core.abs_change`` and
-    ``core.rel_change``'s expressions.  csv and json are written as they
-    are formatted; the table keeps its formatted cells for the widths.
+    The rows' values and relative changes, in percent too, are finite, as
+    ``rank_dataset`` returns them.  The absolute and relative changes are
+    ``core.abs_change`` and ``core.rel_change``'s expressions.
+
+    Each format writes a row with one ``%`` operation on a format string
+    built once per call.  The bytes are those of ``csv.writer``,
+    ``json.dumps`` and ``str.format``: ``%r`` is ``repr``, ``%.pf`` is
+    ``{:.pf}``, and the table's ``%.pf%%`` of ``rel * 100`` is ``{:.p%}``.
+    csv and json are written as they are formatted; the table keeps its
+    formatted cells for the widths.
     """
     p = fmt.precision
     full = p >= FULL_PRECISION
     if fmt.kind == "json":
-        num = float if full else partial(round, ndigits=p)
-        payload = (
-            {
-                "label": label,
-                "past": num(x),
-                "present": num(y),
-                "abs": num(y - x),
-                "rel": num((y - x) / x),
-                "indicator": num(value),
-                "rank": rank,
-            }
-            for label, x, y, value, rank in rows
-        )
-        # The blocks' items joined into one list: the bytes of json.dumps(rows).
-        # No row holds a container, so no check for circular references.
+        # json.dumps' separators and key order; its floats are repr's, its
+        # strings encode_basestring_ascii's.
+        line = ('{"label": %s, "past": %r, "present": %r, "abs": %r, "rel": %r, '
+                '"indicator": %r, "rank": %d}')
+        fields = ((encode_basestring_ascii(label), x, y, y - x, (y - x) / x, value, rank)
+                  for label, x, y, value, rank in rows)
+        if not full:
+            fields = ((label, round(x, p), round(y, p), round(a, p), round(r, p),
+                       round(v, p), rank) for label, x, y, a, r, v, rank in fields)
+        items = map(line.__mod__, fields)
+        # The blocks joined into one list: the bytes of json.dumps(rows).
         out.write("[")
         sep = ""
-        while block := list(islice(payload, _JSON_BLOCK)):
-            out.write(sep + json.dumps(block, check_circular=False)[1:-1])
+        while block := list(islice(items, _JSON_BLOCK)):
+            out.write(sep + ", ".join(block))
             sep = ", "
         out.write("]\n")
         return
-    table = fmt.kind == "table"
-    text = repr if full else f"{{:.{p}f}}".format
-    # The table's rel cell is a percentage at every precision.
-    rel_text = f"{{:.{p}%}}".format if table else text
-    cells = (
-        (label, text(x), text(y), text(y - x), rel_text((y - x) / x), text(value), str(rank))
-        for label, x, y, value, rank in rows
-    )
-    if not table:
-        # The writer quotes a label that holds a comma or a quote.  It would
-        # leave a "\r" unquoted, so parse_csv refuses line breaks in labels.
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["label", "past", "present", "abs", "rel", "indicator", "rank"])
-        writer.writerows(cells)
+    num = "%r" if full else f"%.{p}f"
+    if fmt.kind == "csv":
+        line = f"%s,{num},{num},{num},{num},{num},%d\n"
+        out.write("label,past,present,abs,rel,indicator,rank\n")
+        out.writelines(line % (_csv_label(label), x, y, y - x, (y - x) / x, value, rank)
+                       for label, x, y, value, rank in rows)
         return
-    cells = list(cells)  # the column widths need every row
-    headers = ["label", "past", "present", "abs", "rel", f"{indicator}_{lam:.4g}", "rank"]
+    # The table's rel cell is a percentage at every precision.  No number
+    # holds a tab, so one tab-joined string splits into the five cells.
+    numbers = f"{num}\t{num}\t{num}\t%.{p}f%%\t{num}"
+    headers = ("label", "past", "present", "abs", "rel", f"{indicator}_{lam:.4g}", "rank")
+    cells = [(label, *(numbers % (x, y, y - x, (y - x) / x * 100, value)).split("\t"), rank)
+             for label, x, y, value, rank in rows]
     widths = [max(map(len, column)) for column in zip(headers[:-1], *cells)]
     # Cells are left-aligned; the last one is not padded, so no line ends in a space.
-    line = "".join(f"{{:<{w}}}  " for w in widths) + "{}\n"
-    out.write(line.format(*headers))
-    out.writelines(starmap(line.format, cells))
+    line = "".join(f"%-{w}s  " for w in widths) + "%s\n"
+    out.write(line % headers)
+    out.writelines(map(line.__mod__, cells))
     if unit:
         # Units are metadata only; the indicator value notionally carries
         # the unit raised to the (1 - lambda) power.

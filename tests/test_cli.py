@@ -31,7 +31,7 @@ from changekit.cli import (
     run_verify,
 )
 from changekit.axioms import SampleConfig
-from changekit.errors import ParseError, ValidationError
+from changekit.errors import NumericalError, ParseError, ValidationError
 
 EXAMPLE_CSV = """label,past,present
 I,10,20
@@ -163,6 +163,20 @@ class TestRanking:
         assert values[1] - values[2] <= RANK_TIE_REL * values[1]
         assert values[0] - values[2] > RANK_TIE_REL * values[0]
         assert [(label, rank) for label, _, _, _, rank in reports] == [("a", 1), ("b", 1), ("c", 2)]
+
+    def test_first_row_whose_relative_change_overflows_in_percent(self):
+        # z's relative change, 1e307, is finite but not in percent; a's is
+        # inf.  Input order puts z first.
+        ds = Dataset(["m", "z", "a"], [1.0, 1e-300, 1e-300], [2.0, 1e7, 1e10])
+        with pytest.raises(NumericalError, match=r"^observation 'z': relative change "
+                           r"\(10000000\.0 - 1e-300\) / 1e-300 = 1e\+307 is not finite in percent$"):
+            rank_dataset(ds, 0.5)
+
+    def test_rows_past_the_relative_change_bound_are_scanned(self):
+        # max(ys) / min(xs) overflows, but each row's relative change is 0.
+        big = 1.7976931348623157e308
+        ds = Dataset(["a", "b"], [5e-324, big], [5e-324, big])
+        assert rank_dataset(ds, 1.0) == [("a", 5e-324, 5e-324, 0.0, 1), ("b", big, big, 0.0, 1)]
 
 
 class TestRendering:
@@ -360,6 +374,16 @@ class TestCommands:
         assert err.startswith(
             f"numerical error: NumericalError: {indicator}[105](0.001, 20.0) is not finite: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["table", "csv", "json"])
+    def test_rank_overflowing_relative_change_exits_two(self, capsys, tmp_path, kind):
+        # f_0.5 of row a is 1e155, but (1e10 - 1e-300) / 1e-300 overflows.
+        path = tmp_path / "rel.csv"
+        path.write_text("label,past,present\nm,1,2\na,1e-300,1e10\n")
+        code, out, err = run_cli(capsys, "rank", str(path), "--format", kind)
+        assert (code, out, err) == (
+            2, "", "numerical error: NumericalError: observation 'a': relative change "
+                   "(10000000000.0 - 1e-300) / 1e-300 = inf is not finite in percent\n")
 
     def test_elasticity_command(self, capsys):
         code, out, _ = run_cli(capsys, "elasticity", "--fn", "power:A=5,k=0.3",
@@ -740,9 +764,8 @@ def _option(name, values, required=False):
 
 
 @st.composite
-def cli_argv(draw):
-    command = draw(st.sampled_from(["rank", "compare", "calibrate", "verify", "elasticity",
-                                    "plot-data"]))
+def cli_argv(draw, commands=("rank", "compare", "calibrate", "verify", "elasticity", "plot-data")):
+    command = draw(st.sampled_from(commands))
     pair = _mostly(st.tuples(POSITIVE_TEXTS, POSITIVE_TEXTS).map(",".join), NUMBER_TEXTS)
     if command == "rank":
         options = [_option("--indicator", st.sampled_from(["f", "F", "g"])),
@@ -785,12 +808,17 @@ EDGE_ROWS = st.one_of(
 )
 
 
+#: A past or present value for rank, now and then at an end of the float range.
+RANK_VALUES = _mostly(st.floats(1e-3, 1e3),
+                      st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308]))
+
+
 @st.composite
 def csv_bytes(draw):
     """Bytes for rank: mostly a clean table, else edge headers, rows, line
     endings, encodings or bytes."""
     rows = draw(st.dictionaries(st.text("abc", min_size=1, max_size=2),
-                                st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+                                st.tuples(RANK_VALUES, RANK_VALUES),
                                 min_size=1, max_size=4))
     lines = [f"{label},{x!r},{y!r}" for label, (x, y) in rows.items()]
     if draw(_mostly(st.just(True), st.just(False))):
@@ -804,16 +832,9 @@ def csv_bytes(draw):
     return draw(_mostly(st.just(text.encode(encoding, "replace")), st.binary(max_size=40)))
 
 
-# strict_json holds no state, so sharing it across examples is safe.
-@settings(max_examples=150, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=cli_argv(), content=csv_bytes(),
-       source=_mostly(st.sampled_from(["file", "stdin"]),
-                      st.sampled_from(["missing", "directory"])))
-# verify's exit 2 with a report on stdout, which few generated argv reach.
-@example(argv=["verify", "--target", "F", "--lambda", "5", "--samples", "50"], content=b"",
-         source="file")
-def test_cli_contract_under_generated_input(strict_json, argv, content, source):
+def check_cli_contract(strict_json, argv, content, source):
+    """main(argv), its input from content as a file, stdin, a missing path or
+    a directory: the exit code, stderr and stdout keep the CLI's contract."""
     out, err = io.StringIO(), io.StringIO()
     stdin = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
@@ -844,7 +865,35 @@ def test_cli_contract_under_generated_input(strict_json, argv, content, source):
     if not text:
         return
     kind = getattr(build_parser().parse_args(argv), "format", None)  # a handler ran: argv parses
+    if argv[0] == "rank":  # only finite numbers; the unit footnote is free text
+        body = text.partition("# indicator unit: ")[0].lower()
+        assert "inf" not in body and "nan" not in body
     if argv[0] == "verify" or kind == "json":
         strict_json(text)
     if kind == "csv":
         assert all(len(row) == 7 for row in csv.reader(io.StringIO(text, newline="")))
+
+
+# strict_json holds no state, so sharing it across examples is safe.
+GENERATED = settings(max_examples=150, derandomize=True, database=None, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+SOURCES = _mostly(st.sampled_from(["file", "stdin"]), st.sampled_from(["missing", "directory"]))
+
+
+@GENERATED
+@given(argv=cli_argv(), content=csv_bytes(), source=SOURCES)
+# verify's exit 2 with a report on stdout, which few generated argv reach.
+@example(argv=["verify", "--target", "F", "--lambda", "5", "--samples", "50"], content=b"",
+         source="file")
+def test_cli_contract_under_generated_input(strict_json, argv, content, source):
+    check_cli_contract(strict_json, argv, content, source)
+
+
+# Every example runs rank, whose input the command mix above reaches in few.
+@GENERATED
+@given(argv=cli_argv(commands=("rank",)), content=csv_bytes(), source=SOURCES)
+# A relative change past the float range.
+@example(argv=["rank", INPUT, "--format", "json"],
+         content=b"label,past,present\na,1e-300,1e10\n", source="stdin")
+def test_rank_contract_under_generated_input(strict_json, argv, content, source):
+    check_cli_contract(strict_json, argv, content, source)

@@ -4,7 +4,8 @@ The worked five-channel example is pinned byte for byte in `tests/golden/`;
 a seeded 2,000-row CSV is pinned by the sha256 of its output.  Both go
 through `cli.main` only, so they hold for any internal row representation.
 A seeded CSV longer than two json blocks is checked against a reference
-built here from the library's per-pair functions.
+built here from the library's per-pair functions, and render_reports alone,
+on generated rows, against the same reference.
 """
 import csv
 import hashlib
@@ -13,8 +14,11 @@ import json
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from changekit import cli, core
 from changekit.cli import main
@@ -124,10 +128,10 @@ def test_seeded_csv_matches_golden_digest(capsys, tmp_path, config):
 
 
 def reference_stdout(path, indicator, lam, kind, precision):
-    """rank's stdout from PositivePair, eval_f/eval_F, abs_change and rel_change.
+    """rank's stdout from PositivePair, eval_f/eval_F and reference_render.
 
     Rows sort by (-value, label), and the tie band is measured from each
-    rank's head; json is one json.dumps of the whole payload.
+    rank's head.
     """
     with open(path, newline="") as fh:
         pairs = {label: PositivePair(float(x), float(y)) for label, x, y in list(csv.reader(fh))[1:]}
@@ -138,8 +142,19 @@ def reference_stdout(path, indicator, lam, kind, precision):
         if head - value[label] > band:
             rank, head = rank + 1, value[label]
             band = cli.RANK_TIE_REL * max(1.0, abs(head))
-        p = pairs[label]
-        rows.append([label, p.x, p.y, core.abs_change(p), core.rel_change(p), value[label], rank])
+        rows.append((label, pairs[label].x, pairs[label].y, value[label], rank))
+    return reference_render(rows, indicator, lam, kind, precision)
+
+
+def reference_render(rows, indicator, lam, kind, precision, unit=""):
+    """render_reports' output from csv.writer, json.dumps and str.format.
+
+    The changes are abs_change and rel_change; json is one json.dumps of the
+    whole payload.
+    """
+    rows = [[label, x, y, core.abs_change(PositivePair(x, y)),
+             core.rel_change(PositivePair(x, y)), value, rank]
+            for label, x, y, value, rank in rows]
     full = precision == cli.FULL_PRECISION
     if kind == "json":
         keys = ["label", "past", "present", "abs", "rel", "indicator", "rank"]
@@ -156,8 +171,9 @@ def reference_stdout(path, indicator, lam, kind, precision):
         return buf.getvalue()
     headers = ["label", "past", "present", "abs", "rel", f"{indicator}_{lam:.4g}", "rank"]
     widths = [max(len(row[i]) for row in [headers, *cells]) for i in range(7)]
+    footnote = f"# indicator unit: {unit}^{1 - lam:.4g}\n" if unit else ""
     return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
-                   for row in [headers, *cells])
+                   for row in [headers, *cells]) + footnote
 
 
 @pytest.mark.parametrize("precision", [2, 15])
@@ -174,3 +190,38 @@ def test_output_across_json_blocks_matches_reference(capsys, tmp_path, indicator
     at = next((i for i, (a, b) in enumerate(zip(out, ref)) if a != b), min(len(out), len(ref)))
     same = out == ref
     assert same, f"differs at character {at}: {out[at - 40:at + 40]!r} != {ref[at - 40:at + 40]!r}"
+
+
+#: Finite positive values, often at an end of the float range.
+POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308]),
+                     st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+
+
+@st.composite
+def render_row(draw):
+    """A row as rank_dataset returns one: a finite relative change (a pair
+    whose change overflows is made stagnant), any finite value, any rank."""
+    label = draw(st.text(alphabet=',"\n\r\t\\\x01\xe9\U0001f600', max_size=4))
+    x = draw(POSITIVE)
+    y = draw(st.one_of(st.just(x), POSITIVE))
+    if not math.isfinite((y - x) / x):
+        y = x
+    value = draw(st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -1e-300, 1e300]),
+                           st.floats(allow_nan=False, allow_infinity=False)))
+    return label, x, y, value, draw(st.integers(1, 10**6))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(render_row(), max_size=6),
+       kind=st.sampled_from(["table", "csv", "json"]),
+       precision=st.sampled_from([0, 1, 2, 14, 15]),
+       indicator=st.sampled_from(["f", "F"]),
+       lam=st.floats(-1e3, 1e3),
+       unit=st.text(max_size=3),
+       block=st.integers(1, 3))
+def test_render_matches_reference(rows, kind, precision, indicator, lam, unit, block):
+    buf = io.StringIO()
+    with mock.patch.object(cli, "_JSON_BLOCK", block):  # rows across json blocks
+        cli.render_reports(rows, cli.OutputFormat(kind, precision), indicator, lam, buf, unit)
+    assert buf.getvalue() == reference_render(rows, indicator, lam, kind, precision,
+                                              unit if kind == "table" else "")
