@@ -3,14 +3,9 @@
 Each family's formula is written once and takes floats or arrays: scalar
 paths call it on floats, batch paths on arrays, and the one adapter
 ``_many`` writes a batch result into a caller-supplied ``out`` array.
+A batch call evaluates its whole arrays at once, so a caller that wants
+cache-sized temporaries passes slices, as the axiom checkers do.
 Non-finite results are left to the callers.
-
-``_many`` evaluates the formula over flat blocks of ``BLOCK`` elements,
-through numpy's buffered iterator, and writes each block into ``out``.
-Every formula works element by element, so a block's values are the bits
-that one whole-array evaluation gives.  Whole-array temporaries go back to
-the system after each call and fault in again on the next; a block's stay
-in cache and are reused.
 
 numpy is not imported with this module: ``_many`` imports it on the first
 batch call, so one-pair callers (``core``, ``rank``) never load it.
@@ -52,19 +47,12 @@ def _F(log, expm1):
     return F
 
 
-#: Elements per block of a batch evaluation.  One block's temporary is
-#: 128 KiB and F's formula holds about four at once, well inside a 2 MiB L2
-#: cache; smaller blocks pay numpy's per-call cost, about ten calls per
-#: block, more often.  Of 4k, 16k and 64k, 16k gave the lowest `perfbench`
-#: `verify-grid` `pass_s` on a 2-core Xeon with 2 MiB of L2 per core.
-BLOCK = 16384
-
-
 def _many(bind):
     """The batch form of the kernel that ``bind(numpy)`` returns: its value
-    over arrays, written into ``out`` and returned.  xs and ys broadcast to
-    ``out``'s shape, as in ``out[...] = kernel(lam, xs, ys)``.  The first
-    call imports numpy and binds the kernel; later calls reuse it."""
+    over arrays, written into ``out`` (an array, a view or a buffer such as
+    ``array.array``) and returned.  xs and ys broadcast to ``out``'s shape,
+    as in ``out[...] = kernel(lam, xs, ys)``.  The first call imports numpy
+    and binds the kernel; later calls reuse it."""
     kernel = None
 
     def many(lam: float, xs, ys, out):
@@ -73,11 +61,7 @@ def _many(bind):
 
         if kernel is None:
             kernel = bind(np)
-        with np.nditer([xs, ys, out], flags=["external_loop", "buffered", "zerosize_ok"],
-                       op_flags=[["readonly"], ["readonly"], ["writeonly"]],
-                       buffersize=BLOCK) as blocks:
-            for x, y, block in blocks:
-                block[...] = kernel(lam, x, y)
+        np.asarray(out)[...] = kernel(lam, np.asarray(xs), np.asarray(ys))
         return out
 
     return many

@@ -6,8 +6,8 @@ an array of values out.  ``f_indicator(lam)`` and ``F_indicator(lam)`` are
 the two families through the batch kernels; any other indicator is a plain
 function of arrays, such as ``lambda x, y: y - x``.  There is one
 evaluation path: every checker, ``check_normed`` included, evaluates slices
-of its sample arrays of at most ``_kernels_py.BLOCK`` samples, and never
-calls an indicator one pair at a time.  So an indicator must work element
+of its sample arrays of at most ``BLOCK`` samples, and never calls an
+indicator one pair at a time.  So an indicator must work element
 by element: its output i may depend only on its inputs i.
 
 Each checker reads its inputs from a SampleConfig's stream: log-uniform
@@ -63,6 +63,14 @@ VIOLATION_FLOOR = 1e-6
 #: range to exercise scale extremes: the axioms quantify over all positive
 #: reals, so scale coverage matters more than density.
 VALUE_RANGE = (1e-3, 1e3)
+
+#: Samples per block of a check, the one blocking of batch evaluation: the
+#: batch kernels evaluate a slice whole.  One block's temporary is 128 KiB and
+#: F's formula holds about four at once, well inside a 2 MiB L2 cache; smaller
+#: blocks pay numpy's per-call cost, dozens of calls per block, more often.
+#: Of 4k, 16k and 64k, 16k gave the lowest `perfbench` `verify-grid` `pass_s`
+#: (median of 4 runs each) on a 2-core Xeon with 2 MiB of L2 per core.
+BLOCK = 16384
 
 
 class CheckReport(_Record):
@@ -181,9 +189,9 @@ def _worst_case(
     column at the first largest residual in sample order, by ``np.argmax``'s
     rule over the whole stream: the first NaN, or else the first maximum.
     """
-    worst, case, n = -math.inf, {}, kernels.BLOCK
-    for lo in range(0, cfg.count, n):
-        block = {k: a[lo:lo + n] for k, a in arrays.items()}
+    worst, case = -math.inf, {}
+    for lo in range(0, cfg.count, BLOCK):
+        block = {k: a[lo:lo + BLOCK] for k, a in arrays.items()}
         res = residual(lo, block)
         i = np.unravel_index(np.argmax(res), res.shape)
         r = float(res[i])

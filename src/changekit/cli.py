@@ -214,7 +214,8 @@ def render_reports(
     out: TextIOBase,
     unit: str = "",
 ) -> None:
-    """Write ranked rows as a table, csv or json; ``unit`` is a table footnote.
+    """Write ranked rows as a table, csv or json; ``unit`` is a table footnote,
+    refused in every format, before any output, if it holds a line break.
 
     The rows' values and relative changes, in percent too, are finite, as
     ``rank_dataset`` returns them.  The absolute and relative changes are
@@ -227,6 +228,8 @@ def render_reports(
     csv and json are written as they are formatted; the table keeps its
     formatted cells for the widths.
     """
+    if "\r" in unit or "\n" in unit:
+        raise ValidationError(f"unit {unit!r} holds a line break")
     p = fmt.precision
     full = p >= FULL_PRECISION
     if fmt.kind == "json":

@@ -198,7 +198,7 @@ class TestSharedDraws:
             check_naturality(F_indicator(0.5), cfg())
             assert check_normed(F_indicator, f_indicator, c) == alone
 
-    @pytest.mark.parametrize("count", [1, 300, kernels.BLOCK + 1])
+    @pytest.mark.parametrize("count", [1, 300, axioms.BLOCK + 1])
     def test_array_i_starts_where_i_arrays_end(self, count):
         c = cfg(count=count)
         rng = c.rng()
@@ -216,7 +216,7 @@ class TestSharedDraws:
         assert calls == [300]
 
 
-BLOCK = kernels.BLOCK
+BLOCK = axioms.BLOCK
 #: One sample, one block short, full and spilling by one, and several.
 BLOCK_COUNTS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
 IDENTITY_CHECKS = (check_affine_linearity, check_naturality, check_relative_scaling,
@@ -229,7 +229,7 @@ BLOCK_INDICATORS = (f_indicator(0.5), F_indicator(0.5), rel_indicator(),
 def whole_array_report(monkeypatch, count, run):
     """``run()`` with the block size above ``count``: one block, the whole arrays."""
     with monkeypatch.context() as m:
-        m.setattr(kernels, "BLOCK", count + 1)
+        m.setattr(axioms, "BLOCK", count + 1)
         return run()
 
 

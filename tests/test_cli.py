@@ -385,6 +385,14 @@ class TestCommands:
             2, "", "numerical error: NumericalError: observation 'a': relative change "
                    "(10000000000.0 - 1e-300) / 1e-300 = inf is not finite in percent\n")
 
+    @pytest.mark.parametrize("kind", ["table", "csv", "json"])
+    @pytest.mark.parametrize("unit", ["EUR\nII  1.00", "EUR\rII  1.00", "\n", "EUR\r\n"])
+    def test_rank_unit_with_line_break_exits_one(self, capsys, example_file, kind, unit):
+        # Printed in the table's footnote, it would add a line that reads as a row.
+        code, out, err = run_cli(capsys, "rank", example_file, "--unit", unit, "--format", kind)
+        assert (code, out, err) == (
+            1, "", f"error: ValidationError: unit {unit!r} holds a line break\n")
+
     def test_elasticity_command(self, capsys):
         code, out, _ = run_cli(capsys, "elasticity", "--fn", "power:A=5,k=0.3",
                                "--lambda", "0.5", "--x", "2")
@@ -692,13 +700,13 @@ class TestVerifyPlanInternals:
 
 
 def test_verify_warns_once_per_site_across_blocks():
-    # 40,000 samples span several kernel blocks.  Python's default filter
+    # 40,000 samples span several blocks of each check.  Python's default filter
     # prints each RuntimeWarning site once per process, so stderr names
     # each site once, not once per block.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     root = str(Path(changekit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    assert 40_000 > 2 * kernels.BLOCK
+    assert 40_000 > 2 * axioms.BLOCK
     proc = subprocess.run(
         [sys.executable, "-m", "changekit.cli", "verify", "--target", "F", "--lambda", "60",
          "--samples", "40000"], env=env, capture_output=True, text=True, timeout=120)
@@ -866,8 +874,11 @@ def check_cli_contract(strict_json, argv, content, source):
         return
     kind = getattr(build_parser().parse_args(argv), "format", None)  # a handler ran: argv parses
     if argv[0] == "rank":  # only finite numbers; the unit footnote is free text
-        body = text.partition("# indicator unit: ")[0].lower()
-        assert "inf" not in body and "nan" not in body
+        body, footnote, unit = text.partition("# indicator unit: ")
+        assert "inf" not in body.lower() and "nan" not in body.lower()
+        if footnote:  # the table's last line, and only that
+            assert body.endswith("\n") and unit.endswith("\n")
+            assert unit.count("\n") == 1 and "\r" not in unit
     if argv[0] == "verify" or kind == "json":
         strict_json(text)
     if kind == "csv":
@@ -880,20 +891,30 @@ GENERATED = settings(max_examples=150, derandomize=True, database=None, deadline
 SOURCES = _mostly(st.sampled_from(["file", "stdin"]), st.sampled_from(["missing", "directory"]))
 
 
-@GENERATED
-@given(argv=cli_argv(), content=csv_bytes(), source=SOURCES)
-# verify's exit 2 with a report on stdout, which few generated argv reach.
-@example(argv=["verify", "--target", "F", "--lambda", "5", "--samples", "50"], content=b"",
-         source="file")
-def test_cli_contract_under_generated_input(strict_json, argv, content, source):
-    check_cli_contract(strict_json, argv, content, source)
+# Each command but rank gets its own examples, so that no edit of this test
+# shifts the mix.  Only rank reads the input, so the others get none.
+@pytest.mark.parametrize("command", ["compare", "calibrate", "verify", "elasticity", "plot-data"])
+@settings(GENERATED, max_examples=30)
+@given(data=st.data())
+def test_cli_contract_under_generated_input(strict_json, command, data):
+    argv = data.draw(cli_argv(commands=(command,)), label="argv")
+    check_cli_contract(strict_json, argv, b"", "file")
 
 
-# Every example runs rank, whose input the command mix above reaches in few.
+def test_verify_exit_two_keeps_the_contract(strict_json):
+    # verify's exit 2 with a report on stdout, which few generated argv reach.
+    check_cli_contract(strict_json, ["verify", "--target", "F", "--lambda", "5", "--samples", "50"],
+                       b"", "file")
+
+
+# rank, the one command that reads an input: its argv, bytes and source drawn together.
 @GENERATED
 @given(argv=cli_argv(commands=("rank",)), content=csv_bytes(), source=SOURCES)
 # A relative change past the float range.
 @example(argv=["rank", INPUT, "--format", "json"],
          content=b"label,past,present\na,1e-300,1e10\n", source="stdin")
+# A unit that would add a line after the footnote.
+@example(argv=["rank", INPUT, "--unit", "EUR\nII  1.00"],
+         content=b"label,past,present\nI,10,20\n", source="stdin")
 def test_rank_contract_under_generated_input(strict_json, argv, content, source):
     check_cli_contract(strict_json, argv, content, source)

@@ -22,7 +22,8 @@ from changekit import (
     quantity_indicator,
 )
 from changekit import _kernels_py as kernels
-from changekit.axioms import F_indicator, f_indicator
+from changekit import axioms, cli
+from changekit.axioms import F_indicator, SampleConfig, f_indicator
 
 
 def sample_inputs(n=500, seed=42):
@@ -45,10 +46,10 @@ def test_batch_matches_scalar_same_backend():
 
 
 @pytest.mark.parametrize("lam", [-1.5, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 1e-9])
-def test_blocked_batch_matches_whole_array_bitwise(lam):
-    # The batch kernels write their formula's value block by block; every
-    # element keeps the bits of one whole-array evaluation.
-    B = kernels.BLOCK
+def test_batch_kernels_write_the_formula_bitwise_into_out(lam):
+    # Every element of out keeps the bits of the formula over the whole
+    # arrays, at any length and shape, through any view.
+    B = axioms.BLOCK
     formulas = {"f_many": kernels.f_scalar, "F_many": kernels._F(np.log, np.expm1)}
 
     def bits(values):
@@ -72,6 +73,12 @@ def test_blocked_batch_matches_whole_array_bitwise(lam):
         many(lam, xs, ys, buf[:, 2:6])
         assert np.array_equal(bits(buf[:, 2:6]), bits(formula(lam, xs, ys)))
         assert np.all(buf[:, :2] == -7.0) and np.all(buf[:, 6:] == -7.0)
+        # A 0-d out, from 0-d arrays and from floats.
+        x, y = xs[5, 1], ys[5, 1]
+        for args in ((np.array(x), np.array(y)), (float(x), float(y))):
+            out = np.empty(())
+            assert many(lam, *args, out) is out
+            assert bits(out) == bits(formula(lam, x, y))
 
 
 def run_fresh(code: str, *args: str) -> str:
@@ -194,6 +201,23 @@ def test_indicators_call_the_batch_kernel_when_they_run(monkeypatch, indicator, 
     xs, ys = sample_inputs(10)
     out = fn(xs, ys)
     assert len(calls) == 1 and calls[0][3] is out
+
+
+def test_verify_calls_the_batch_kernels_one_block_at_a_time(monkeypatch):
+    # The checkers are the one layer that blocks: a kernel call covers at
+    # most BLOCK samples, and normed's 2-D rows one sample per h-fraction.
+    shapes = []
+    for name in ("f_many", "F_many"):
+        batch = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *args, batch=batch:
+                            shapes.append(np.shape(args[3])) or batch(*args))
+    cfg = SampleConfig(count=3 * axioms.BLOCK + 7)
+    for target in cli._VERIFY_PLAN:
+        cli.run_verify(target, 0.5, cfg)
+    # A shape's first axis is its samples; normed's second its h-fractions.
+    assert {len(shape) for shape in shapes} == {1, 2}
+    assert max(shape[0] for shape in shapes) == axioms.BLOCK
+    assert {shape[1:] for shape in shapes if len(shape) == 2} == {(len(axioms.NORMED_H_FRACTIONS),)}
 
 
 def _package_nodes():

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from changekit import cli, core
 from changekit.cli import main
+from changekit.errors import ValidationError
 from changekit.types import PositivePair
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -220,8 +221,13 @@ def render_row(draw):
        unit=st.text(max_size=3),
        block=st.integers(1, 3))
 def test_render_matches_reference(rows, kind, precision, indicator, lam, unit, block):
-    buf = io.StringIO()
+    fmt, buf = cli.OutputFormat(kind, precision), io.StringIO()
+    if "\r" in unit or "\n" in unit:  # refused in every format, before any output
+        with pytest.raises(ValidationError, match="holds a line break"):
+            cli.render_reports(rows, fmt, indicator, lam, buf, unit)
+        assert buf.getvalue() == ""
+        return
     with mock.patch.object(cli, "_JSON_BLOCK", block):  # rows across json blocks
-        cli.render_reports(rows, cli.OutputFormat(kind, precision), indicator, lam, buf, unit)
+        cli.render_reports(rows, fmt, indicator, lam, buf, unit)
     assert buf.getvalue() == reference_render(rows, indicator, lam, kind, precision,
                                               unit if kind == "table" else "")
