@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .core import _checked, eval_F, eval_f
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .types import PositivePair, _integer, check_lambda
 
 # Coefficients beyond this order are numerically negligible or overflow-prone.
@@ -66,15 +66,28 @@ def remainder_bound(lam: float, p: PositivePair) -> float:
 
     The Lagrange remainder is |lam|/2 * xi**-(1+lam) * (y - x)**2 for some xi
     between x and y; the bound takes the xi that makes it largest:
-    min(x, y) when 1 + lam >= 0, max(x, y) when 1 + lam < 0.  A bound that is
-    not finite raises NumericalError.
+    min(x, y) when 1 + lam >= 0, max(x, y) when 1 + lam < 0.  It is evaluated
+    as |lam| * s * s with s = (y - x) / sqrt(xi) * q * q, q = xi**(-lam / 4):
+    the exponent is exact, and each partial product lies between two normal
+    factors, so for normal x and y it stays a normal double wherever the
+    bound is one, though (y - x)**2 and xi**(1 + lam) may not.  The bound is
+    0 at lam = 0 and at x = y, where F = f; a bound that is not finite, or
+    that underflows to 0 elsewhere, raises NumericalError.
     """
     lam = check_lambda(lam)
+    if lam == 0.0 or p.x == p.y:
+        return 0.0
     xi = min(p.x, p.y) if lam >= -1.0 else max(p.x, p.y)
-    return _checked(
-        "remainder_bound", lambda lam, x, y: abs(lam) * (y - x) ** 2 / xi ** (1.0 + lam),
-        lam, p.x, p.y,
-    )
+
+    def bound(lam, x, y):
+        q = xi ** (-0.25 * lam)
+        s = (y - x) / math.sqrt(xi) * q * q
+        return abs(lam) * s * s
+
+    value = _checked("remainder_bound", bound, lam, p.x, p.y)
+    if value == 0.0:
+        raise NumericalError(f"remainder_bound[{lam:.4g}]({p.x!r}, {p.y!r}) underflows to 0.0")
+    return value
 
 
 def linearization_residual(lam: float, x: float, h: float) -> float:

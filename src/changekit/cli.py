@@ -28,7 +28,7 @@ from math import inf, isfinite
 from operator import itemgetter
 
 from . import _kernels_py as kernels
-from . import approximation, calibration, core, elasticity
+from . import core
 from .errors import ChangekitError, NumericalError, ParseError, ValidationError
 from .types import PositivePair, SampleConfig, _FrozenRecord, _Record, _integer, _set, check_lambda
 
@@ -411,6 +411,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import calibration
+
     ref = _parse_pair(args.ref, "--ref")
     cmp_pair = _parse_pair(args.cmp, "--cmp")
     inp = calibration.CalibrationInput(ref, cmp_pair)
@@ -430,6 +432,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_elasticity(args) -> int:
+    from . import elasticity
+
     lam = check_lambda(args.lam)
     g = elasticity.parse_function_spec(args.fn)
     x = args.x
@@ -445,6 +449,8 @@ def _cmd_elasticity(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
+    from . import approximation
+
     lambdas = _parse_lambda_list(args.lambdas)
     if not lambdas:
         raise ValidationError("at least one lambda is required")

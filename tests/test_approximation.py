@@ -198,10 +198,33 @@ class TestRemainderBound:
         (400, 1e-3, 2e-3), (-400, 1e3, 2e3), (400, 1e3, 2e3), (3, 1e-300, 1e300),
     ])
     def test_non_finite_value_is_numerical_error(self, lam, x, y):
-        # xi**(1 + lam) underflows to 0 in the first two and overflows in the
-        # third; the last overflows in (y - x)**2.
+        # In |lam| * s * s, s = (y - x) / sqrt(xi) * q * q, q = xi**(-lam / 4):
+        # q overflows in the first two and underflows to a zero bound in the
+        # third; in the last (y - x) / sqrt(xi) overflows.
         with pytest.raises(NumericalError, match="remainder_bound"):
             remainder_bound(lam, PositivePair(x, y))
+
+    @pytest.mark.parametrize("lam, x, y", [
+        (0.5, 1e-200, 2e-200), (-0.5, 1e-180, 2e-180), (1, 1e-200, 3e-200),
+        (0.5, 1e-200, 1e-10), (0.5, 1e200, 2e200), (1, 1e200, 2e200), (2, 1e150, 1.5e150),
+        (2, 1e200, 2e200), (-1, 1e-200, 1.0), (-1, 1e-300, 1e10), (-0.5, 1e-250, 1.0),
+        (4.5, 1.5e163, 5e302), (-15.474652990676843, 126.0457146270155, 0.052673842724186036),
+    ])
+    def test_value_matches_decimal_within_its_rounding_bound(self, lam, x, y):
+        # The bound is a normal double in each case.  (y - x)**2 underflows
+        # to 0 at the small end and overflows at the large end.  With y >> x
+        # and lam < 0, r = (y - x) / xi overflows or xi**(1 - lam) underflows;
+        # xi**(-lam / 2) underflows at (4.5, 1.5e163, 5e302).  In the last case 1 - lam
+        # rounds, and the form r * (r * xi**(1 - lam)) is off by 72 ulps.  s
+        # carries seven roundings of at most half an ulp, so the bound,
+        # |lam| * s * s, carries at most sixteen.
+        with localcontext() as ctx:
+            ctx.prec = 80
+            dlam, dx, dy = Decimal(lam), Decimal(x), Decimal(y)
+            xi = min(dx, dy) if lam >= -1 else max(dx, dy)
+            exact = abs(dlam) * (dy - dx) ** 2 / xi ** (1 + dlam)
+            got = Decimal(remainder_bound(lam, PositivePair(x, y)))
+            assert abs(got - exact) <= 16 * Decimal(2.0**-53) * exact
 
 
 class TestLinearization:

@@ -779,7 +779,8 @@ def cli_argv(draw, commands=("rank", "compare", "calibrate", "verify", "elastici
         options = [_option("--indicator", st.sampled_from(["f", "F", "g"])),
                    _option("--format", st.sampled_from(["table", "csv", "json", "xml"])),
                    _option("--precision", st.integers(-1, 16).map(str)),
-                   _option("--unit", st.text(max_size=3))]
+                   # Line breaks drawn as often as all other characters together.
+                   _option("--unit", st.text(st.sampled_from("\r\n") | st.characters(), max_size=3))]
         argv = [command, INPUT]
     elif command in ("compare", "calibrate"):
         options = [_option("--ref", pair, True), _option("--cmp", pair, True)]

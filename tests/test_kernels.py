@@ -286,22 +286,24 @@ def test_no_module_imports_dataclasses_or_typing():
 
 
 #: Child code: import changekit, then run each argv of argv[1] through
-#: cli.main; print which of numpy, dataclasses and inspect were loaded
-#: after the import and after each command, with each command's exit code
-#: and stdout.
+#: cli.main; print which of numpy, dataclasses and inspect were loaded and
+#: which changekit modules, after the import and after each command, with
+#: each command's exit code and stdout.
 CLI_RUNS = """
 import contextlib, io, json, sys
 def loaded():
     return [name in sys.modules for name in ("numpy", "dataclasses", "inspect")]
+def ours():
+    return [name for name in sys.modules if name.partition(".")[0] == "changekit"]
 import changekit
-runs = [["import", loaded(), 0, ""]]
+runs = [["import", loaded(), ours(), 0, ""]]
 from changekit import cli
-runs.append(["import cli", loaded(), 0, ""])
+runs.append(["import cli", loaded(), ours(), 0, ""])
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    runs.append([argv[0], loaded(), code, out.getvalue()])
+    runs.append([argv[0], loaded(), ours(), code, out.getvalue()])
 print(json.dumps(runs))
 """
 
@@ -321,10 +323,17 @@ def test_only_verify_loads_numpy(tmp_path):
     runs = json.loads(run_fresh(CLI_RUNS, json.dumps(argvs)))
     # Only numpy loads inspect; nothing loads dataclasses.
     none, numpy = [False, False, False], [True, False, True]
-    assert [(name, loaded, code) for name, loaded, code, _ in runs] == [
+    assert [(name, loaded, code) for name, loaded, _, code, _ in runs] == [
         ("import", none, 0), ("import cli", none, 0), ("rank", none, 0), ("rank", none, 0),
         ("compare", none, 0), ("calibrate", none, 0), ("elasticity", none, 0),
         ("plot-data", none, 0), ("verify", numpy, 0)]
-    assert all(out for _, _, _, out in runs[2:])
+    # Each changekit module loads with the first command that uses it.
+    before = [[]] + [ours for _, _, ours, _, _ in runs]
+    assert [sorted(set(now) - set(then)) for then, now in zip(before, before[1:])] == [
+        ["changekit", "changekit._backend", "changekit._kernels_py"],
+        ["changekit.cli", "changekit.core", "changekit.errors", "changekit.types"],
+        [], [], [], ["changekit.calibration"], ["changekit.elasticity"],
+        ["changekit.approximation"], ["changekit.axioms"]]
+    assert all(out for _, _, _, _, out in runs[2:])
     golden = Path(__file__).resolve().parent / "golden" / "verify_F_lam0.5_samples200.json"
-    assert runs[-1][3] == golden.read_text()
+    assert runs[-1][4] == golden.read_text()
