@@ -6,13 +6,11 @@ Alongside the evaluators the package ships calibration of the interpolation
 parameter, Taylor/Box-Cox approximation machinery, generalized elasticity
 and a randomized axiom-verification suite with a CLI frontend.
 
-``import changekit`` loads only the ``_backend`` shim and the kernel module.
-Every other public name, and every module named in ``_EXPORTS``, is loaded
-on first read (PEP 562): ``__getattr__`` imports the module that defines the
-name and binds the name here, so later reads are plain lookups.
+``import changekit`` loads the package module alone.  Every public name,
+and every module named in ``_EXPORTS``, is loaded on first read (PEP 562):
+``__getattr__`` imports the module that defines the name and binds the name
+here, so later reads are plain lookups.
 """
-from ._backend import BACKEND
-
 __version__ = "0.1.0"
 
 #: The package's one list of exports: each module and the public names it

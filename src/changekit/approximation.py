@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _checked, eval_F, eval_f
+from .core import _MIN_NORMAL, _checked, eval_F, eval_f
 from .errors import DomainError, NumericalError
 from .types import PositivePair, _integer, check_lambda
 
@@ -71,8 +71,8 @@ def remainder_bound(lam: float, p: PositivePair) -> float:
     the exponent is exact, and each partial product lies between two normal
     factors, so for normal x and y it stays a normal double wherever the
     bound is one, though (y - x)**2 and xi**(1 + lam) may not.  The bound is
-    0 at lam = 0 and at x = y, where F = f; a bound that is not finite, or
-    that underflows to 0 elsewhere, raises NumericalError.
+    0 at lam = 0 and at x = y, where F = f; elsewhere a bound that is not
+    finite, or below the smallest normal double, raises NumericalError.
     """
     lam = check_lambda(lam)
     if lam == 0.0 or p.x == p.y:
@@ -85,8 +85,8 @@ def remainder_bound(lam: float, p: PositivePair) -> float:
         return abs(lam) * s * s
 
     value = _checked("remainder_bound", bound, lam, p.x, p.y)
-    if value == 0.0:
-        raise NumericalError(f"remainder_bound[{lam:.4g}]({p.x!r}, {p.y!r}) underflows to 0.0")
+    if value < _MIN_NORMAL:
+        raise NumericalError(f"remainder_bound[{lam:.4g}]({p.x!r}, {p.y!r}) underflows: {value!r}")
     return value
 
 

@@ -14,14 +14,16 @@ Each checker reads its inputs from a SampleConfig's stream: log-uniform
 arrays over VALUE_RANGE, array i drawn from the seed's generator at
 ``i * count`` steps in, so that it depends on (seed, count, i) alone.  It
 evaluates the residual of one identity, one block of samples at a time, in
-``_worst_case``, which keeps the worst case in sample order.  A block's
-temporaries stay in cache; the drawn arrays stay whole.  Residuals of the
-exact identities are normalized by max(1, |reference|): relative where the
-reference magnitude exceeds one, absolute below.  ``check_normed`` reports
-the ratio of |F - f| to its Lagrange remainder bound instead.  The
-checkers only ever assert the forward direction (a family satisfies an
-axiom) or exhibit a violating sample (a competitor fails one); no
-function-space search is attempted.
+``_worst_case``, which keeps the worst case in sample order.  It is the one
+place that decides what a value that is not finite means in a check: numpy
+evaluates quietly there, and such a value shows only as a failing residual,
+inf or NaN (always the worst).  A block's temporaries stay in cache; the
+drawn arrays stay whole.  Residuals of the exact identities are normalized
+by max(1, |reference|): relative where the reference magnitude exceeds one,
+absolute below.  ``check_normed`` reports the ratio of |F - f| to its
+Lagrange remainder bound instead.  The checkers only ever assert the forward
+direction (a family satisfies an axiom) or exhibit a violating sample (a
+competitor fails one); no function-space search is attempted.
 
 ``SampleConfig`` is defined in ``types``, which loads no numpy, so that
 the command line can build one without importing this module; it is the
@@ -190,13 +192,14 @@ def _worst_case(
     rule over the whole stream: the first NaN, or else the first maximum.
     """
     worst, case = -math.inf, {}
-    for lo in range(0, cfg.count, BLOCK):
-        block = {k: a[lo:lo + BLOCK] for k, a in arrays.items()}
-        res = residual(lo, block)
-        i = np.unravel_index(np.argmax(res), res.shape)
-        r = float(res[i])
-        if r > worst or (math.isnan(r) and not math.isnan(worst)):
-            worst, case = r, {k: float(v[i]) for k, v in block.items()}
+    with np.errstate(all="ignore"):
+        for lo in range(0, cfg.count, BLOCK):
+            block = {k: a[lo:lo + BLOCK] for k, a in arrays.items()}
+            res = residual(lo, block)
+            i = np.unravel_index(np.argmax(res), res.shape)
+            r = float(res[i])
+            if r > worst or (math.isnan(r) and not math.isnan(worst)):
+                worst, case = r, {k: float(v[i]) for k, v in block.items()}
     return CheckReport(name, cfg.count, worst, case, tolerance)
 
 
@@ -313,7 +316,8 @@ def check_normed(
 
     Samples of a block that share a lambda are evaluated together: one call
     to each family member covers them at every h-fraction.  Ratios that are
-    all zero, as at lam = 0, report no worst case.
+    all zero, as at lam = 0, report no worst case; a NaN ratio, as where F
+    or f is not finite, fails as the worst case.
     """
     # The lambdas take the generator steps of array 0, so the xs are array 1.
     lams = cfg.rng().uniform(*cfg.lambda_range, cfg.count)
@@ -340,10 +344,7 @@ def check_normed(
             diff[rows] = np.abs(F_family(lam)(xg, yg) - f_family(lam)(xg, yg))
         xi = np.where(lam_col >= -1.0, x, y)
         bound = np.abs(lam_col) * h * h / xi ** (1.0 + lam_col)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(bound > 0.0, diff / bound, np.where(diff == 0.0, 0.0, np.inf))
-        # A NaN ratio never counts.
-        return np.fmax(ratio, 0.0)
+        return np.where(bound > 0.0, diff / bound, np.where(diff == 0.0, 0.0, np.inf))
 
     report = _worst_case("normed", cfg, 1.0, residual, **{"lambda": lams, "x": xs})
-    return report if report.max_residual > 0.0 else CheckReport("normed", cfg.count, 0.0, {}, 1.0)
+    return report if report.max_residual != 0.0 else CheckReport("normed", cfg.count, 0.0, {}, 1.0)

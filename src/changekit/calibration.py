@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import eval_f
+from .core import _MIN_NORMAL, eval_f
 from .errors import (
     DomainError,
     EqualPastValuesError,
@@ -16,6 +16,13 @@ from .types import PositivePair, _FrozenRecord, _set, check_lambda
 
 # Below this the log in the calibration denominator is numerically meaningless.
 _MIN_LOG_PAST_RATIO = 1e-12
+
+
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a / b) for nonzero a and b of one sign: of the quotient while it is
+    a normal double, else ln|a| - ln|b|, where the quotient under- or overflows."""
+    q = a / b
+    return math.log(q) if _MIN_NORMAL <= q < math.inf else math.log(abs(a)) - math.log(abs(b))
 
 
 class CalibrationInput(_FrozenRecord):
@@ -31,12 +38,12 @@ class CalibrationInput(_FrozenRecord):
             raise StagnantPairError(f"reference pair ({ref.x}, {ref.y}) is stagnant")
         if cmp.x == cmp.y:
             raise StagnantPairError(f"comparison pair ({cmp.x}, {cmp.y}) is stagnant")
-        if abs(math.log(cmp.x / ref.x)) < _MIN_LOG_PAST_RATIO:
+        if abs(_log_ratio(cmp.x, ref.x)) < _MIN_LOG_PAST_RATIO:
             raise EqualPastValuesError(
                 f"past values {ref.x} and {cmp.x} coincide (or nearly so); "
                 "lambda is indeterminate"
             )
-        if (cmp.y - cmp.x) / (ref.y - ref.x) <= 0:
+        if (cmp.y > cmp.x) != (ref.y > ref.x):
             raise SignMismatchError(
                 "the two pairs change in opposite directions; no lambda equates them"
             )
@@ -47,13 +54,11 @@ class CalibrationInput(_FrozenRecord):
 def calibrate_lambda(inp: CalibrationInput) -> float:
     """The unique lambda giving both pairs the same f value.
 
-    lambda = ln((y2 - x2) / (y1 - x1)) / ln(x2 / x1).  The closed form is
-    re-checked against both pairs before returning.
+    lambda = ln((y2 - x2) / (y1 - x1)) / ln(x2 / x1), finite for every input.
+    The closed form is re-checked against both pairs before returning.
     """
     ref, cmp = inp.reference, inp.comparison
-    lam = math.log((cmp.y - cmp.x) / (ref.y - ref.x)) / math.log(cmp.x / ref.x)
-    if not math.isfinite(lam):
-        raise NumericalError(f"calibration produced a non-finite lambda: {lam!r}")
+    lam = _log_ratio(cmp.y - cmp.x, ref.y - ref.x) / _log_ratio(cmp.x, ref.x)
     f_ref = eval_f(lam, ref)
     f_cmp = eval_f(lam, cmp)
     if abs(f_ref - f_cmp) > 1e-9 * max(1.0, abs(f_ref)):

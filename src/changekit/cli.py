@@ -150,10 +150,10 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     the first such row in input order, whatever the output format.  The
     absolute change of two positive finite values is always finite.
 
-    The values come from one pass of the scalar kernel.  If any of them is
-    not finite, or the kernel signals an overflow, ``core.eval_f``/``eval_F``
-    run over the rows in input order and raise the NumericalError of the
-    first such row.
+    Each value goes through ``core._checked``, the gate of ``core.eval_f``
+    and ``eval_F``, in input order: the first row whose value is not finite,
+    or whose kernel call overflows or divides by zero, raises its
+    NumericalError.
 
     A value shares the rank of the rank's first value, its head, while it is
     within ``RANK_TIE_REL * max(1, |head|)`` of the head.  The band is
@@ -174,14 +174,7 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
                 raise NumericalError(f"observation {label!r}: relative change ({y!r} - {x!r}) / "
                                      f"{x!r} = {rel!r} is not finite in percent")
     kernel = kernels.f_scalar if indicator == "f" else kernels.F_scalar
-    try:
-        values = list(map(kernel, repeat(lam), xs, ys))
-        finite = all(map(isfinite, values))
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
-        evaluate = core.eval_f if indicator == "f" else core.eval_F
-        values = [evaluate(lam, PositivePair(x, y)) for x, y in zip(xs, ys)]
+    values = list(map(core._checked, repeat(indicator), repeat(kernel), repeat(lam), xs, ys))
     # Two stable sorts give the order of the key (-value, label).
     observations = list(zip(labels, xs, ys, values))
     observations.sort(key=itemgetter(0))

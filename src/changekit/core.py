@@ -18,6 +18,8 @@ from . import _kernels_py as kernels
 from .errors import DomainError, NumericalError, StagnantPairError
 from .types import PositivePair, check_lambda
 
+_MIN_NORMAL = 2.0 ** -1022  # the smallest normal double; a smaller one has fewer digits
+
 
 def abs_change(p: PositivePair) -> float:
     """Absolute change y - x (same unit as the observations)."""

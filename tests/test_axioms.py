@@ -233,7 +233,6 @@ def whole_array_report(monkeypatch, count, run):
         return run()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestBlocks:
     @pytest.mark.parametrize("count", BLOCK_COUNTS)
     @pytest.mark.parametrize("check", IDENTITY_CHECKS, ids=lambda c: c.__name__)
@@ -441,9 +440,13 @@ class TestNormed:
     def test_random_lambda_passes(self):
         assert check_normed(F_indicator, f_indicator, cfg(count=300)).passed
 
-    def test_mismatched_families_fail(self):
-        shifted = lambda lam: f_indicator(lam + 0.5)
-        report = check_normed(F_indicator, shifted, cfg(count=300, lambda_range=(0.5, 0.5)))
+    @pytest.mark.parametrize("F_family, f_family", [
+        (F_indicator, lambda lam: f_indicator(lam + 0.5)),
+        (lambda lam: lambda xs, ys: np.full(np.shape(xs), np.nan), f_indicator),
+    ], ids=["shifted-f", "nan-F"])
+    def test_mismatched_families_fail(self, F_family, f_family):
+        # A NaN ratio is the worst case, as in every other checker.
+        report = check_normed(F_family, f_family, cfg(count=300, lambda_range=(0.5, 0.5)))
         assert not report.passed
 
     def test_exact_family_passes_below_minus_one(self):

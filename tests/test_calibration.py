@@ -84,11 +84,46 @@ class TestCalibrateLambda:
         with pytest.raises(SignMismatchError):
             CalibrationInput(PositivePair(1, 2), PositivePair(4, 3))
 
-    def test_non_finite_lambda_is_numerical_error(self):
-        # The quotient of the two absolute changes overflows to inf.
+    def test_lambda_past_the_float_range_is_numerical_error(self):
+        # The quotient of the two absolute changes overflows, but its log is
+        # ln(1e308 - 2) - ln(2**-52): lambda is about 1075.15, where 2**lambda
+        # overflows in f of the comparison pair.
         inp = CalibrationInput(PositivePair(1, 1 + 2**-52), PositivePair(2, 1e308))
-        with pytest.raises(NumericalError, match="non-finite lambda"):
+        with pytest.raises(NumericalError, match=r"^f\[1075\]\(2\.0, 1e\+308\) is not finite: "
+                                                 r"OverflowError"):
             calibrate_lambda(inp)
+
+    def test_past_values_whose_quotient_overflows(self):
+        # cmp.x / ref.x is 1e600 and the changes' quotient 1e600 too: both
+        # overflow, and each log is taken as ln(a) - ln(b).
+        inp = CalibrationInput(PositivePair(1e-300, 2e-300), PositivePair(1e300, 2e300))
+        assert calibrate_lambda(inp) == 1.0
+
+    def test_past_values_whose_quotient_underflows(self):
+        # cmp.x / ref.x and the changes' quotient are 1e-600: both underflow to 0.
+        inp = CalibrationInput(PositivePair(1e300, 2e300), PositivePair(1e-300, 2e-300))
+        assert calibrate_lambda(inp) == 1.0
+
+    def test_growth_whose_quotient_underflows_is_no_sign_mismatch(self):
+        # Both pairs grow, though (2e-300 - 1e-300) / (1e300 - 1) underflows to
+        # 0.  lambda is 2, and f of the comparison pair divides by
+        # (1e-300)**2, which underflows to 0.
+        inp = CalibrationInput(PositivePair(1, 1e300), PositivePair(1e-300, 2e-300))
+        with pytest.raises(NumericalError, match=r"^f\[2\]\(1e-300, 2e-300\) is not finite: "
+                                                 r"ZeroDivisionError"):
+            calibrate_lambda(inp)
+
+    @pytest.mark.parametrize("ref, cmp_pair", [
+        ((1, 2), (2, 4)), ((10, 20), (80, 135)), ((3, 2), (5, 1)), ((0.5, 0.7), (1e-3, 0.1)),
+        ((1e-200, 2e-200), (1e-190, 5e-190)),
+    ])
+    def test_normal_quotients_keep_the_closed_form_bits(self, ref, cmp_pair):
+        # Where both quotients are normal doubles, lambda is the closed form
+        # over the quotients, bit for bit.
+        ref, cmp_pair = PositivePair(*ref), PositivePair(*cmp_pair)
+        closed = (math.log((cmp_pair.y - cmp_pair.x) / (ref.y - ref.x))
+                  / math.log(cmp_pair.x / ref.x))
+        assert calibrate_lambda(CalibrationInput(ref, cmp_pair)) == closed
 
 
 class TestSymmetricScaling:

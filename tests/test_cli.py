@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import json
 import math
 import os
 import shlex
@@ -289,6 +290,19 @@ class TestCommands:
         assert code == 0
         assert out.startswith("lambda = 1.0")
 
+    @pytest.mark.parametrize("ref, cmp_pair, expected", [
+        # cmp.x / ref.x underflows to 0: its log was a raw math domain error.
+        ("1e300,2e300", "1e-300,2e-300",
+         (0, "lambda = 1.0\nresidual |f(ref) - f(cmp)| = 0.0\n", "")),
+        # Both pairs grow, though the changes' quotient underflows to 0:
+        # lambda = 2, where f of the comparison pair is not finite.
+        ("1,1e300", "1e-300,2e-300",
+         (2, "", "numerical error: NumericalError: f[2](1e-300, 2e-300) is not finite: "
+                 "ZeroDivisionError('float division by zero')\n")),
+    ], ids=["quotient-underflows", "growth-not-sign-mismatch"])
+    def test_calibrate_at_the_ends_of_the_float_range(self, capsys, ref, cmp_pair, expected):
+        assert run_cli(capsys, "calibrate", "--ref", ref, "--cmp", cmp_pair) == expected
+
     def test_calibrate_named_errors(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--ref", "1,2", "--cmp", "1,2")
         assert code == 1 and "EqualPastValues" in err
@@ -361,19 +375,24 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "NumericalError" in err
 
-    @pytest.mark.parametrize("indicator", ["f", "F"])
-    def test_rank_names_the_first_overflowing_row_in_input_order(self, capsys, tmp_path, indicator):
-        # At lambda 105 both z and a overflow: f of z is inf (0.001**105 is
-        # subnormal) and f of a divides by 0.0005**105 == 0; F overflows expm1
-        # at both.  Input order puts z first; label and value order do not.
+    @pytest.mark.parametrize("indicator, rows, message", [
+        ("f", "z,0.001,20\na,0.0005,20", "f[105](0.001, 20.0) is not finite: inf"),
+        ("F", "z,0.001,20\na,0.0005,20",
+         "F[105](0.001, 20.0) is not finite: OverflowError('math range error')"),
+        ("f", "a,0.0005,20\nz,0.001,20",
+         "f[105](0.0005, 20.0) is not finite: ZeroDivisionError('float division by zero')"),
+    ], ids=["f-inf", "F-overflow", "f-zero-division"])
+    def test_rank_names_the_first_overflowing_row_in_input_order(self, capsys, tmp_path,
+                                                                  indicator, rows, message):
+        # At lambda 105 both z and a overflow: the kernel returns f of z as
+        # inf (0.001**105 is subnormal) and signals f of a as a division by
+        # 0.0005**105 == 0; F overflows expm1 at both.  The first of them in
+        # input order is named; label and value order do not count.
         path = tmp_path / "two.csv"
-        path.write_text("label,past,present\nm,1,2\nz,0.001,20\na,0.0005,20\n")
+        path.write_text(f"label,past,present\nm,1,2\n{rows}\n")
         code, out, err = run_cli(capsys, "rank", str(path), "--lambda", "105",
                                  "--indicator", indicator)
-        assert (code, out) == (2, "")
-        assert err.startswith(
-            f"numerical error: NumericalError: {indicator}[105](0.001, 20.0) is not finite: ")
-        assert err.count("\n") == 1
+        assert (code, out, err) == (2, "", f"numerical error: NumericalError: {message}\n")
 
     @pytest.mark.parametrize("kind", ["table", "csv", "json"])
     def test_rank_overflowing_relative_change_exits_two(self, capsys, tmp_path, kind):
@@ -699,21 +718,23 @@ class TestVerifyPlanInternals:
         assert all(ref() is None for ref in drawn)
 
 
-def test_verify_warns_once_per_site_across_blocks():
-    # 40,000 samples span several blocks of each check.  Python's default filter
-    # prints each RuntimeWarning site once per process, so stderr names
-    # each site once, not once per block.
+@pytest.mark.parametrize("target, lam, samples", [
+    ("F", "60", "40000"), ("F", "150", "200"), ("f", "-60", "200"),
+])
+def test_verify_past_the_float_range_is_quiet_on_stderr(target, lam, samples):
+    # Each run overflows the kernels and fails a check.  40,000 samples span
+    # several blocks of each check.  The checks evaluate under one numpy
+    # error state, so a value that is not finite shows only in the report,
+    # not as a warning, under Python's default warning filter.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     root = str(Path(changekit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     assert 40_000 > 2 * axioms.BLOCK
     proc = subprocess.run(
-        [sys.executable, "-m", "changekit.cli", "verify", "--target", "F", "--lambda", "60",
-         "--samples", "40000"], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    sites = [line for line in proc.stderr.splitlines() if "RuntimeWarning" in line]
-    assert any("_kernels_py.py" in site for site in sites)
-    assert len(sites) == len(set(sites))
+        [sys.executable, "-m", "changekit.cli", "verify", "--target", target, f"--lambda={lam}",
+         "--samples", samples], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -235,9 +235,11 @@ def _imported_parts(node) -> set[str]:
     return {part for name in names for part in name.split(".")}
 
 
-def test_only_the_package_init_imports_the_backend_shim():
+def test_no_module_of_the_package_imports_the_backend_shim():
+    # The package's modules import the kernel module directly; the shim
+    # loads only when `changekit.BACKEND` or `changekit._backend` is read.
     importers = {name for name, node in _package_nodes() if "_backend" in _imported_parts(node)}
-    assert importers == {"__init__.py"}
+    assert importers == set()
 
 
 def test_only_the_cli_does_io():
@@ -330,8 +332,9 @@ def test_only_verify_loads_numpy(tmp_path):
     # Each changekit module loads with the first command that uses it.
     before = [[]] + [ours for _, _, ours, _, _ in runs]
     assert [sorted(set(now) - set(then)) for then, now in zip(before, before[1:])] == [
-        ["changekit", "changekit._backend", "changekit._kernels_py"],
-        ["changekit.cli", "changekit.core", "changekit.errors", "changekit.types"],
+        ["changekit"],
+        ["changekit._kernels_py", "changekit.cli", "changekit.core", "changekit.errors",
+         "changekit.types"],
         [], [], [], ["changekit.calibration"], ["changekit.elasticity"],
         ["changekit.approximation"], ["changekit.axioms"]]
     assert all(out for _, _, _, _, out in runs[2:])

@@ -56,9 +56,9 @@ print(json.dumps(out))
 """
 
 
-def test_import_loads_only_the_backend_shim_and_names_load_on_first_read():
+def test_import_loads_the_package_module_alone_and_names_load_on_first_read():
     out = json.loads(run_fresh(LAZY_IMPORT))
-    assert out["import"] == ["changekit", "changekit._backend", "changekit._kernels_py"]
+    assert out["import"] == ["changekit"]
     assert out["listed"] == []  # dir() lists every name before it is read
     # Every exported name is its defining module's object, bound in the package.
     assert all(module is not None and module.startswith("changekit.")
