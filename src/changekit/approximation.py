@@ -32,7 +32,7 @@ def taylor_coefficient(lam: float, k: int, x: float) -> float:
     (-1)**(k+1) * [lam * (lam+1) * ... * (lam+k-2)] / (k! * x**(k+lam-1)).
     The Gamma-function quotient is evaluated as a rising factorial, which
     stays well-defined (and zero) at lam = 0 where the quotient of two
-    Gammas would be NaN.
+    Gammas would be NaN.  A value that is not finite raises NumericalError.
     """
     lam = check_lambda(lam)
     if k < 2:
@@ -40,7 +40,8 @@ def taylor_coefficient(lam: float, k: int, x: float) -> float:
     if x <= 0:
         raise DomainError(f"expansion point must be positive, got {x!r}")
     sign = 1.0 if k % 2 == 1 else -1.0
-    return sign * rising_factorial(lam, k - 1) / (math.factorial(k) * x ** (k + lam - 1.0))
+    return _checked("taylor_coefficient", lambda lam, k, x: sign * rising_factorial(lam, k - 1)
+                    / (math.factorial(k) * x ** (k + lam - 1.0)), lam, k, x)
 
 
 def taylor_F(lam: float, p: PositivePair, order: int) -> float:
@@ -48,17 +49,22 @@ def taylor_F(lam: float, p: PositivePair, order: int) -> float:
 
     n = 1 returns eval_f exactly.  Convergence is only guaranteed for
     |y - x| < x (the binomial-series radius); outside that regime the
-    truncation is still evaluated, caller beware.
+    truncation is still evaluated, caller beware.  A term or a sum that is
+    not finite raises NumericalError.
     """
     lam = check_lambda(lam)
     n = _check_order(order)
-    total = eval_f(lam, p)
-    d = p.y - p.x
-    d_pow = d
-    for k in range(2, n + 1):
-        d_pow *= d
-        total += taylor_coefficient(lam, k, p.x) * d_pow
-    return total
+
+    def truncation(lam, x, y):
+        total = eval_f(lam, p)
+        d = y - x
+        d_pow = d
+        for k in range(2, n + 1):
+            d_pow *= d
+            total += taylor_coefficient(lam, k, x) * d_pow
+        return total
+
+    return _checked("taylor_F", truncation, lam, p.x, p.y)
 
 
 def remainder_bound(lam: float, p: PositivePair) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _MIN_NORMAL, eval_f
+from .core import _MIN_NORMAL, _checked, eval_f
 from .errors import (
     DomainError,
     EqualPastValuesError,
@@ -113,9 +113,9 @@ def mrs_cobb_douglas(lam: float, p: PositivePair) -> float:
     With factors L = rel, K = abs and exponents (lam, 1 - lam) this equals
     lam / (1 - lam) * x, which is the past value x exactly when lam = 1/2.
     Only the past value of ``p`` enters; the pair is taken for interface
-    uniformity.
+    uniformity.  A value that is not finite raises NumericalError.
     """
     lam = check_lambda(lam)
     if lam == 1.0:
         raise DomainError("marginal rate of substitution is undefined at lambda = 1")
-    return lam / (1.0 - lam) * p.x
+    return _checked("mrs_cobb_douglas", lambda lam, x, y: lam / (1.0 - lam) * x, lam, p.x, p.y)

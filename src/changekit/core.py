@@ -1,14 +1,15 @@
 """Baseline indicators of change and the two one-parameter families.
 
 The family ``eval_f`` interpolates absolute change (lam = 0) and relative
-change (lam = 1).  The family ``eval_F`` is its antisymmetric, additive
-counterpart, interpolating absolute change (lam = 0) and the log-ratio
-(lam = 1).  The generalization claims hold bitwise at both endpoints, not
-just approximately: ``f``'s by arithmetic alone (``x**0.0 == 1.0`` and
-``x**1.0 == x``), ``F``'s through branches in the kernel module, because
-its general form is 0/0 at lam = 1 and inexact at lam = 0.  Both families
-go through one check: a result that is not finite, returned or signalled
-by the kernel as an overflow or a division by zero, raises NumericalError.
+change (lam = 1); ``eval_F``, its antisymmetric, additive counterpart,
+interpolates absolute change (lam = 0) and the log-ratio (lam = 1).  The
+three named indicators are those calls of their family, and they are the
+classical expressions bit for bit: ``f``'s by arithmetic alone
+(``x**0.0 == 1.0`` and ``x**1.0 == x``), ``F``'s through branches in the
+kernel module, because its general form is 0/0 at lam = 1 and inexact at
+lam = 0.  Every public function goes through one check, ``_checked``: a
+result that is not finite, returned or signalled by the kernel as an
+overflow or a division by zero, raises NumericalError.
 """
 from __future__ import annotations
 
@@ -22,30 +23,31 @@ _MIN_NORMAL = 2.0 ** -1022  # the smallest normal double; a smaller one has fewe
 
 
 def abs_change(p: PositivePair) -> float:
-    """Absolute change y - x (same unit as the observations)."""
-    return p.y - p.x
+    """Absolute change y - x (same unit as the observations): f at lam = 0."""
+    return eval_f(0.0, p)
 
 
 def rel_change(p: PositivePair) -> float:
-    """Relative change (y - x) / x (dimensionless)."""
-    return (p.y - p.x) / p.x
+    """Relative change (y - x) / x (dimensionless): f at lam = 1."""
+    return eval_f(1.0, p)
 
 
 def log_ratio(p: PositivePair) -> float:
-    """ln(y / x): the F family at lam = 1, through the scalar kernel.
+    """ln(y / x): F at lam = 1.
 
     The kernel evaluates it as ln(y) - ln(x), which cancels when y is near
     x: at (1000, 1000.001) its relative error is 1.2e-10, against 2.9e-17
     for log1p((y - x) / x).
     """
-    return kernels.F_scalar(1.0, p.x, p.y)
+    return eval_F(1.0, p)
 
 
 def _checked(name: str, kernel, lam: float, x: float, y: float) -> float:
     """``kernel(lam, x, y)``, or the one NumericalError if it is not finite.
 
-    The scalar kernel returns a non-finite value or signals one: x**lam
-    underflows to 0 (ZeroDivisionError) or overflows (OverflowError).
+    The kernel returns a non-finite value or signals one: a power underflows
+    to 0 (ZeroDivisionError) or overflows (OverflowError).  The message
+    prints x and y; a kernel of other operands closes over them.
     """
     cause = None
     try:
@@ -61,7 +63,7 @@ def _checked(name: str, kernel, lam: float, x: float, y: float) -> float:
 def eval_f(lam: float, p: PositivePair) -> float:
     """f(x, y) = (y - x) / x**lam.
 
-    lam = 0 returns abs_change bitwise, lam = 1 returns rel_change bitwise.
+    lam = 0 returns y - x bitwise, lam = 1 returns (y - x) / x bitwise.
     The result carries the (documented, not computed) unit u**(1 - lam).
     """
     return _checked("f", kernels.f_scalar, check_lambda(lam), p.x, p.y)
@@ -72,7 +74,7 @@ def eval_F(lam: float, p: PositivePair) -> float:
 
     Evaluated through expm1 so the value stays accurate (and continuous to
     ~1e-12) across lam -> 1 without a switching threshold; lam = 0 returns
-    abs_change bitwise.
+    y - x bitwise.
     """
     return _checked("F", kernels.F_scalar, check_lambda(lam), p.x, p.y)
 

@@ -1,16 +1,17 @@
 """Classical and generalized elasticity of positive economic functions.
 
 The generalized elasticity g'(x) * (x / g(x))**lam interpolates the
-marginal function (lam = 0) and the classical elasticity (lam = 1); the
-pre-limit difference quotient converges to it at rate O(h).  A result that
-is not finite, or a float overflow or division by zero, raises NumericalError.
+marginal function (lam = 0) and the classical elasticity (lam = 1), which
+are its calls at those lambdas; the pre-limit difference quotient converges
+to it at rate O(h).  A value that is not finite, a float overflow or a
+division by zero raises NumericalError through ``core._checked``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 
+from .core import _checked
 from .errors import DomainError, NumericalError
 from .types import _FrozenRecord, _set, check_lambda
 
@@ -34,34 +35,20 @@ class EconFunction(_FrozenRecord):
         _set(self, "derivative", derivative)
 
     def value(self, x: float) -> float:
+        """g(x), refusing an x or g(x) that is not positive and a g(x) that is not finite."""
         if not (math.isfinite(x) and x > 0):
             raise DomainError(f"{self.name}: argument must be positive, got {x!r}")
         g = self.eval(x)
-        if not (math.isfinite(g) and g > 0):
+        if g <= 0:
             raise DomainError(f"{self.name}: function value must be positive, got {g!r} at x = {x}")
+        if not math.isfinite(g):
+            raise NumericalError(f"{self.name}({x!r}) is not finite: {g!r}")
         return g
 
 
-def _numerical(fn):
-    """``fn`` raising NumericalError for a non-finite result or (from it) an arithmetic error."""
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            value = fn(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise NumericalError(f"{fn.__name__}: {type(exc).__name__}: {exc}") from exc
-        if math.isfinite(value):
-            return value
-        raise NumericalError(f"{fn.__name__}: result is not finite: {value!r}")
-
-    return checked
-
-
-@_numerical
 def marginal(g: EconFunction, x: float) -> float:
-    """g'(x), at an x where g.value accepts x and g(x)."""
-    g.value(x)
-    return g.derivative(x)
+    """g'(x), at an x where g.value accepts x and g(x): the lam = 0 member."""
+    return generalized_elasticity(0.0, g, x)
 
 
 def classical_elasticity(g: EconFunction, x: float) -> float:
@@ -69,18 +56,18 @@ def classical_elasticity(g: EconFunction, x: float) -> float:
     return generalized_elasticity(1.0, g, x)
 
 
-@_numerical
 def generalized_elasticity(lam: float, g: EconFunction, x: float) -> float:
     """g'(x) * (x / g(x))**lam, one expression for every lam.
 
-    lam = 0 returns the marginal function bitwise, since (x / g)**0.0 == 1.0,
-    and lam = 1 is classical_elasticity.
+    lam = 0 returns g'(x) bitwise, since (x / g)**0.0 == 1.0 even where
+    x / g is inf.  g.value(x) runs first, so an x it refuses is a DomainError
+    whatever g' does there.  The error message prints g by its name.
     """
-    lam = check_lambda(lam)
-    return marginal(g, x) * (x / g.value(x)) ** lam
+    return _checked("generalized_elasticity",
+                    lambda lam, name, x: (x / g.value(x)) ** lam * g.derivative(x),
+                    check_lambda(lam), g.name, x)
 
 
-@_numerical
 def elasticity_quotient(lam: float, g: EconFunction, x: float, h: float) -> float:
     """Pre-limit quotient ((g(x+h) - g(x)) / g(x)**lam) / (h / x**lam).
 
@@ -89,9 +76,13 @@ def elasticity_quotient(lam: float, g: EconFunction, x: float, h: float) -> floa
     lam = check_lambda(lam)
     if h == 0.0:
         raise DomainError("elasticity quotient requires a nonzero step h")
-    gx = g.value(x)
-    gy = g.value(x + h)
-    return ((gy - gx) / gx**lam) / (h / x**lam)
+
+    def quotient(lam, x, h):
+        gx = g.value(x)
+        gy = g.value(x + h)
+        return ((gy - gx) / gx**lam) / (h / x**lam)
+
+    return _checked("elasticity_quotient", quotient, lam, x, h)
 
 
 def power_function(A: float, k: float) -> EconFunction:

@@ -88,9 +88,9 @@ def test_criterion_2_endpoint_identities_bitwise():
     xs, ys = random_pairs(rng, 10_000)
     for x, y in zip(xs, ys):
         p = PositivePair(x, y)
-        assert eval_f(0.0, p) == abs_change(p)
-        assert eval_f(1.0, p) == rel_change(p)
-        assert eval_F(0.0, p) == abs_change(p)
+        assert eval_f(0.0, p) == abs_change(p) == p.y - p.x
+        assert eval_f(1.0, p) == rel_change(p) == (p.y - p.x) / p.x
+        assert eval_F(0.0, p) == abs_change(p) == p.y - p.x
         assert eval_F(1.0, p) == log_ratio(p)
     announce(2, "f/F endpoints bitwise equal to abs, rel and log-ratio on 10^4 pairs")
 
@@ -280,6 +280,6 @@ def test_criterion_10_elasticity():
         assert 8.0 <= a / b <= 12.0
 
     for x in (0.5, 2.0, 7.0):
-        assert generalized_elasticity(0.0, g, x) == marginal(g, x)
+        assert generalized_elasticity(0.0, g, x) == marginal(g, x) == g.derivative(x)
         assert generalized_elasticity(1.0, g, x) == classical_elasticity(g, x)
     announce(10, "constant elasticity 0.3 to machine precision; quotient converges at rate h")

@@ -64,6 +64,16 @@ class TestTaylorCoefficient:
         with pytest.raises(DomainError):
             taylor_coefficient(0.5, 2, -1.0)
 
+    @pytest.mark.parametrize("x, cause", [
+        (1e-10, "ZeroDivisionError('float division by zero')"),
+        (1e10, "OverflowError(34, 'Numerical result out of range')"),
+    ], ids=["underflow", "overflow"])
+    def test_power_past_the_float_range_is_numerical_error(self, x, cause):
+        # x**63.5 underflows to 0 or overflows.
+        with pytest.raises(NumericalError) as info:
+            taylor_coefficient(0.5, 64, x)
+        assert str(info.value) == f"taylor_coefficient[0.5](64, {x!r}) is not finite: {cause}"
+
     def test_rising_factorial(self):
         assert rising_factorial(3.0, 0) == 1.0
         assert rising_factorial(2.0, 4) == 2 * 3 * 4 * 5
@@ -141,6 +151,18 @@ class TestTaylorSeries:
         ]
         for lam, x, y, order, bits in cases:
             assert taylor_F(lam, PositivePair(x, y), order).hex() == bits
+
+    @pytest.mark.parametrize("lam, x, y, order, message", [
+        # The 32nd coefficient overflows: x**31.5 is 1e-315.
+        (0.5, 1e-10, 2e-10, 64, "taylor_coefficient[0.5](32, 1e-10) is not finite: -inf"),
+        # Every coefficient is 0 at lam = 0, but (y - x)**3 overflows: 0 * inf.
+        (0.0, 1.0, 1e103, 3, "taylor_F[0](1.0, 1e+103) is not finite: nan"),
+        (2.0, 1.0, 1e200, 2, "taylor_F[2](1.0, 1e+200) is not finite: -inf"),
+    ], ids=["coefficient", "nan-sum", "inf-sum"])
+    def test_non_finite_value_is_numerical_error(self, lam, x, y, order, message):
+        with pytest.raises(NumericalError) as info:
+            taylor_F(lam, PositivePair(x, y), order)
+        assert str(info.value) == message
 
     def test_order_out_of_range(self):
         with pytest.raises(DomainError):

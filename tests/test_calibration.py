@@ -206,6 +206,12 @@ class TestMarginalRateOfSubstitution:
         with pytest.raises(DomainError):
             mrs_cobb_douglas(1.0, PositivePair(1, 2))
 
+    def test_non_finite_value_is_numerical_error(self):
+        # lam / (1 - lam) is 2**53 - 1 one ulp below 1, and 9e15 * 1e300 overflows.
+        with pytest.raises(NumericalError) as info:
+            mrs_cobb_douglas(1 - 2**-53, PositivePair(1e300, 2e300))
+        assert str(info.value) == "mrs_cobb_douglas[1](1e+300, 2e+300) is not finite: inf"
+
     def test_only_half_reproduces_x(self):
         x = 7.0
         for lam in (-0.5, 0.0, 0.25, 0.75, 0.9):

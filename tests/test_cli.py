@@ -444,10 +444,19 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv, message", [
         (["elasticity", "--fn", "power:A=1e200,k=1", "--lambda=-1.5", "--x", "1"],
-         "generalized_elasticity: result is not finite: inf"),
+         "generalized_elasticity[-1.5]('power(A=1e+200, k=1)', 1.0) is not finite: inf"),
+        # g(x) past the float range exits 2 whether it rounds to inf or exp raises.
+        (["elasticity", "--fn", "power:A=1e300,k=2", "--x", "1e10"],
+         "power(A=1e+300, k=2)(10000000000.0) is not finite: inf"),
+        (["elasticity", "--fn", "exponential:A=1e300,b=1", "--x", "100"],
+         "exponential(A=1e+300, b=1)(100.0) is not finite: inf"),
+        (["elasticity", "--fn", "exponential:A=1,b=1", "--x", "1000"],
+         "generalized_elasticity[0]('exponential(A=1, b=1)', 1000.0) is not finite: "
+         "OverflowError('math range error')"),
         (["compare", "--ref", "1,1.0000000000000002", "--cmp", "1,1e300", "--lambda", "0.5"],
          "relative_comparison[0.5](1e+300, 2.220446049250313e-16) is not finite: inf"),
-    ], ids=["elasticity", "compare"])
+    ], ids=["elasticity", "elasticity-g-inf", "elasticity-g-exp-inf", "elasticity-g-exp-overflow",
+            "compare"])
     def test_non_finite_value_is_numerical_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"numerical error: NumericalError: {message}\n")

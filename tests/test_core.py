@@ -74,6 +74,12 @@ class TestBaseline:
         assert rel_change(pair(80, 135)) == 0.6875
         assert rel_change(pair(42, 42)) == 0
 
+    def test_rel_change_past_the_float_range_is_numerical_error(self):
+        # The relative change is f at lam = 1, and refuses as f does.
+        with pytest.raises(NumericalError) as info:
+            rel_change(pair(1e-300, 1e300))
+        assert str(info.value) == "f[1](1e-300, 1e+300) is not finite: inf"
+
     def test_log_ratio_examples(self):
         assert log_ratio(pair(1, math.e)) == pytest.approx(1.0, rel=1e-15)
         assert log_ratio(pair(5, 5)) == 0
@@ -96,8 +102,8 @@ class TestEvalF:
     @given(positive, positive)
     def test_endpoints_bitwise(self, x, y):
         p = pair(x, y)
-        assert eval_f(0.0, p) == abs_change(p)
-        assert eval_f(1.0, p) == rel_change(p)
+        assert eval_f(0.0, p) == abs_change(p) == y - x
+        assert eval_f(1.0, p) == rel_change(p) == (y - x) / x
 
     @given(lambdas, positive, positive)
     def test_sign_matches_direction(self, lam, x, y):
@@ -170,7 +176,7 @@ class TestEvalBigF:
     @given(positive, positive)
     def test_endpoints_bitwise(self, x, y):
         p = pair(x, y)
-        assert eval_F(0.0, p) == abs_change(p)
+        assert eval_F(0.0, p) == abs_change(p) == y - x
         assert eval_F(1.0, p) == log_ratio(p)
 
     @given(lambdas, positive, positive)

@@ -156,38 +156,66 @@ class TestElasticityQuotient:
 
 
 class TestNumericalErrors:
-    """A float overflow or division by zero is a NumericalError chained from it."""
+    """A float overflow or division by zero is a NumericalError chained from it,
+    with core's message: the function, lambda, the pair it prints and the cause."""
 
-    @pytest.mark.parametrize("call, where, cause", [
-        (lambda: marginal(power_function(5, 400), 10.0), "marginal", OverflowError),
-        (lambda: classical_elasticity(power_function(5, 400), 10.0), "marginal", OverflowError),
-        (lambda: generalized_elasticity(1.0, power_function(5, 400), 10.0), "marginal",
+    OVERFLOW = "OverflowError(34, 'Numerical result out of range')"
+
+    @pytest.mark.parametrize("call, message, cause", [
+        (lambda: marginal(power_function(5, 400), 10.0),
+         f"generalized_elasticity[0]('power(A=5, k=400)', 10.0) is not finite: {OVERFLOW}",
+         OverflowError),
+        (lambda: classical_elasticity(power_function(5, 400), 10.0),
+         f"generalized_elasticity[1]('power(A=5, k=400)', 10.0) is not finite: {OVERFLOW}",
+         OverflowError),
+        (lambda: generalized_elasticity(1.0, power_function(5, 400), 10.0),
+         f"generalized_elasticity[1]('power(A=5, k=400)', 10.0) is not finite: {OVERFLOW}",
          OverflowError),
         (lambda: generalized_elasticity(-1e308, power_function(1, 2), 3.0),
-         "generalized_elasticity", OverflowError),
+         f"generalized_elasticity[-1e+308]('power(A=1, k=2)', 3.0) is not finite: {OVERFLOW}",
+         OverflowError),
         (lambda: elasticity_quotient(0.5, power_function(1, 2), 1.0, 1e308),
-         "elasticity_quotient", OverflowError),
+         f"elasticity_quotient[0.5](1.0, 1e+308) is not finite: {OVERFLOW}", OverflowError),
         (lambda: elasticity_quotient(400.0, power_function(1, 2), 1e-3, 1e-4),
-         "elasticity_quotient", ZeroDivisionError),
+         "elasticity_quotient[400](0.001, 0.0001) is not finite: "
+         "ZeroDivisionError('float division by zero')", ZeroDivisionError),
     ], ids=["marginal", "classical", "generalized-lam1", "generalized", "quotient-overflow",
             "quotient-zero-division"])
-    def test_arithmetic_error_is_numerical_error(self, call, where, cause):
+    def test_arithmetic_error_is_numerical_error(self, call, message, cause):
         with pytest.raises(NumericalError) as info:
             call()
         assert type(info.value.__cause__) is cause
-        assert str(info.value).startswith(f"{where}: {cause.__name__}: ")
+        assert str(info.value) == message
 
-    @pytest.mark.parametrize("call, where", [
+    @pytest.mark.parametrize("call, message", [
         (lambda: generalized_elasticity(-1.5, power_function(1e200, 1), 1.0),
-         "generalized_elasticity"),
-        (lambda: marginal(power_function(1e300, 0.5), 1e-20), "marginal"),
+         "generalized_elasticity[-1.5]('power(A=1e+200, k=1)', 1.0) is not finite: inf"),
+        (lambda: marginal(power_function(1e300, 0.5), 1e-20),
+         "generalized_elasticity[0]('power(A=1e+300, k=0.5)', 1e-20) is not finite: inf"),
     ], ids=["generalized", "marginal"])
-    def test_non_finite_result_is_numerical_error(self, call, where):
+    def test_non_finite_result_is_numerical_error(self, call, message):
         # Each true value, 1e500 and 5e309, is past the float range: the
         # product rounds to inf with no exception to chain.
-        with pytest.raises(NumericalError, match=f"^{where}: result is not finite: inf$") as info:
+        with pytest.raises(NumericalError) as info:
             call()
+        assert str(info.value) == message
         assert info.value.__cause__ is None
+
+    @pytest.mark.parametrize("fn", [
+        marginal, classical_elasticity, lambda g, x: generalized_elasticity(0.5, g, x),
+        lambda g, x: elasticity_quotient(0.5, g, x, 1.0),
+    ], ids=["marginal", "classical", "generalized", "quotient"])
+    def test_function_value_past_the_float_range_is_numerical_error(self, fn):
+        # g(1e10) = 1e300 * 1e20 rounds to inf: no exception, and no DomainError.
+        with pytest.raises(NumericalError) as info:
+            fn(power_function(1e300, 2), 1e10)
+        assert str(info.value) == "power(A=1e+300, k=2)(10000000000.0) is not finite: inf"
+        # A g(x) that is not positive, or an x, stays a DomainError, though g'
+        # divides by zero there.
+        with pytest.raises(DomainError, match="function value must be positive, got 0.0"):
+            fn(EconFunction("zero", lambda x: 0.0, lambda x: 1 / 0), 1.0)
+        with pytest.raises(DomainError, match="argument must be positive, got 0.0"):
+            fn(power_function(1, 0.5), 0.0)
 
 
 class TestRegistry:
