@@ -6,15 +6,15 @@ import math
 
 from .core import _MIN_NORMAL, _checked, eval_F, eval_f
 from .errors import DomainError, NumericalError
-from .types import PositivePair, _integer, check_lambda
+from .types import PositivePair, _integer, _real, check_lambda
 
 # Coefficients beyond this order are numerically negligible or overflow-prone.
 MAX_TAYLOR_ORDER = 64
 
 
-def _check_order(n: int) -> int:
-    if not 1 <= _integer("Taylor order", n) <= MAX_TAYLOR_ORDER:
-        raise DomainError(f"Taylor order must be in [1, {MAX_TAYLOR_ORDER}], got {n}")
+def _order(name: str, n: int, low: int) -> int:
+    if not low <= _integer(name, n) <= MAX_TAYLOR_ORDER:
+        raise DomainError(f"{name} must be in [{low}, {MAX_TAYLOR_ORDER}], got {n}")
     return n
 
 
@@ -27,7 +27,7 @@ def rising_factorial(a: float, m: int) -> float:
 
 
 def taylor_coefficient(lam: float, k: int, x: float) -> float:
-    """k-th Taylor coefficient of y -> F(x, y) around y = x, for k >= 2.
+    """k-th Taylor coefficient of y -> F(x, y) around y = x, for k in [2, MAX_TAYLOR_ORDER].
 
     (-1)**(k+1) * [lam * (lam+1) * ... * (lam+k-2)] / (k! * x**(k+lam-1)).
     The Gamma-function quotient is evaluated as a rising factorial, which
@@ -35,10 +35,8 @@ def taylor_coefficient(lam: float, k: int, x: float) -> float:
     Gammas would be NaN.  A value that is not finite raises NumericalError.
     """
     lam = check_lambda(lam)
-    if k < 2:
-        raise DomainError(f"taylor_coefficient requires k >= 2, got {k}")
-    if x <= 0:
-        raise DomainError(f"expansion point must be positive, got {x!r}")
+    k = _order("Taylor coefficient index k", k, 2)
+    x = _real("expansion point x", x, 0.0)
     sign = 1.0 if k % 2 == 1 else -1.0
     return _checked("taylor_coefficient", lambda lam, k, x: sign * rising_factorial(lam, k - 1)
                     / (math.factorial(k) * x ** (k + lam - 1.0)), lam, k, x)
@@ -49,11 +47,15 @@ def taylor_F(lam: float, p: PositivePair, order: int) -> float:
 
     n = 1 returns eval_f exactly.  Convergence is only guaranteed for
     |y - x| < x (the binomial-series radius); outside that regime the
-    truncation is still evaluated, caller beware.  A term or a sum that is
-    not finite raises NumericalError.
+    truncation is still evaluated, caller beware.  At lam = 0, -1, -2, ...
+    every c_k with k >= 2 - lam is exactly 0, so the sum stops before them,
+    and is F itself from order 1 - lam on.  A term or a sum that is not
+    finite raises NumericalError.
     """
     lam = check_lambda(lam)
-    n = _check_order(order)
+    n = _order("Taylor order", order, 1)
+    if lam <= 0 and lam.is_integer():
+        n = min(n, 1 - int(lam))
 
     def truncation(lam, x, y):
         total = eval_f(lam, p)
@@ -103,7 +105,8 @@ def linearization_residual(lam: float, x: float, h: float) -> float:
     h -> 0, and |residual| <= remainder_bound(lam, PositivePair(x, x + h)).
     """
     lam = check_lambda(lam)
-    p = PositivePair(x, x + h)
+    x = _real("x", x, 0.0)
+    p = PositivePair(x, x + _real("h", h))
     return eval_F(lam, p) - eval_f(lam, p)
 
 
@@ -113,19 +116,16 @@ def box_cox(lam: float, y: float) -> float:
     Closed forms: lam = 1 gives ln(y), lam = 1/2 gives 2*(sqrt(y) - 1),
     lam = 1/5 gives (5/4)*(y**(4/5) - 1), lam = 0 gives y - 1.
     """
-    lam = check_lambda(lam)
-    y = float(y)
-    if not (math.isfinite(y) and y > 0):
-        raise DomainError(f"box_cox requires y > 0, got {y!r}")
-    return eval_F(lam, PositivePair(1.0, y))
+    return eval_F(check_lambda(lam), PositivePair(1.0, _real("y", y, 0.0)))
 
 
 def default_curve_grid(points: int, lo: float, hi: float) -> list[float]:
-    """Uniform grid of ``points`` values on [lo, hi]."""
-    if points < 2:
+    """Uniform grid of ``points`` values on [lo, hi], 0 < lo < hi."""
+    if _integer("grid points", points) < 2:
         raise DomainError(f"grid needs at least 2 points, got {points}")
-    if not (0 < lo < hi):
-        raise DomainError(f"grid range must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    lo, hi = _real("grid lo", lo, 0.0), _real("grid hi", hi, 0.0)
+    if not lo < hi:
+        raise DomainError(f"grid range must satisfy lo < hi, got ({lo}, {hi})")
     step = (hi - lo) / (points - 1)
     if not math.isfinite(lo + (points - 1) * step):
         raise DomainError(f"grid range ({lo}, {hi}) in {points} points is not finite")

@@ -35,8 +35,9 @@ of the seed and count alone, so repeat runs produce bit-identical reports.
 A report serializes a non-finite float (an overflowed residual or value) as
 None, so its JSON stays strict.
 
-The drawn arrays are read-only, so an indicator that writes into its inputs
-raises instead of changing the samples of a later check.  Within one
+Every array that a checker hands an indicator and reads again, drawn or
+copied, is read-only, so an indicator that writes into its inputs raises
+instead of changing what a later call or check reads.  Within one
 ``shared_draws()`` block, as around the checks of one ``changekit verify``
 call, each array of a (seed, count) stream is drawn once, by the first
 checker that needs it.  An array is the same wherever it is read from, so
@@ -237,6 +238,7 @@ def check_naturality(ind: BatchFn, cfg: SampleConfig) -> CheckReport:
         if lo < n_stag:
             y = b["y"] = y.copy()
             y[:n_stag - lo] = x[:n_stag - lo]
+            y.flags.writeable = False
         v = b["value"] = ind(x, y)
         res = np.where(
             y == x,
@@ -341,6 +343,7 @@ def check_normed(
         diff = np.empty(h.shape)
         for lam, rows in groups.items():
             xg, yg = x[rows], y[rows]
+            xg.flags.writeable = yg.flags.writeable = False
             diff[rows] = np.abs(F_family(lam)(xg, yg) - f_family(lam)(xg, yg))
         xi = np.where(lam_col >= -1.0, x, y)
         bound = np.abs(lam_col) * h * h / xi ** (1.0 + lam_col)

@@ -12,7 +12,7 @@ from .errors import (
     SignMismatchError,
     StagnantPairError,
 )
-from .types import PositivePair, _FrozenRecord, _set, check_lambda
+from .types import PositivePair, _FrozenRecord, _real, _set, check_lambda
 
 # Below this the log in the calibration denominator is numerically meaningless.
 _MIN_LOG_PAST_RATIO = 1e-12
@@ -71,8 +71,7 @@ def calibrate_lambda(inp: CalibrationInput) -> float:
 
 def scaled_relative_pair(p: PositivePair, c: float) -> PositivePair:
     """The pair (x/c, y - x + x/c): same absolute change, relative change scaled by c."""
-    if not (math.isfinite(c) and c > 0):
-        raise DomainError(f"scale factor must be positive, got {c!r}")
+    c = _real("scale factor c", c, 0.0)
     x2 = p.x / c
     y2 = p.y - p.x + x2
     if y2 <= 0:
@@ -86,11 +85,9 @@ def symmetric_scaling_residual(lam: float, p: PositivePair, c: float) -> float:
     """f(Cx, Cy) - f(x/C, y - x + x/C).
 
     Analytically (C**(1-lam) - C**lam) * f(x, y): identically zero for all
-    (p, C) exactly when lam = 1/2.
+    (p, C) exactly when lam = 1/2.  ``p.scaled`` checks C first.
     """
     lam = check_lambda(lam)
-    if not (math.isfinite(c) and c > 0):
-        raise DomainError(f"scale factor must be positive, got {c!r}")
     return eval_f(lam, p.scaled(c)) - eval_f(lam, scaled_relative_pair(p, c))
 
 
@@ -100,7 +97,6 @@ def doubling_example(lam: float) -> tuple[float, float]:
     (2, 4) doubles the absolute change of the reference pair (1, 2),
     (1/2, 3/2) doubles its relative change.
     """
-    lam = check_lambda(lam)
     return (
         eval_f(lam, PositivePair(2.0, 4.0)),
         eval_f(lam, PositivePair(0.5, 1.5)),

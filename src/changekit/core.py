@@ -9,7 +9,9 @@ classical expressions bit for bit: ``f``'s by arithmetic alone
 kernel module, because its general form is 0/0 at lam = 1 and inexact at
 lam = 0.  Every public function goes through one check, ``_checked``: a
 result that is not finite, returned or signalled by the kernel as an
-overflow or a division by zero, raises NumericalError.
+overflow or a division by zero, raises NumericalError.  Arguments go
+through ``types``' one gate; ``eval_f`` and ``eval_F`` call it for lambda
+themselves, as a ``check_lambda`` frame around it costs about 60 ns a call.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 
 from . import _kernels_py as kernels
 from .errors import DomainError, NumericalError, StagnantPairError
-from .types import PositivePair, check_lambda
+from .types import PositivePair, _real, check_lambda
 
 _MIN_NORMAL = 2.0 ** -1022  # the smallest normal double; a smaller one has fewer digits
 
@@ -66,7 +68,7 @@ def eval_f(lam: float, p: PositivePair) -> float:
     lam = 0 returns y - x bitwise, lam = 1 returns (y - x) / x bitwise.
     The result carries the (documented, not computed) unit u**(1 - lam).
     """
-    return _checked("f", kernels.f_scalar, check_lambda(lam), p.x, p.y)
+    return _checked("f", kernels.f_scalar, _real("lambda", lam), p.x, p.y)
 
 
 def eval_F(lam: float, p: PositivePair) -> float:
@@ -76,7 +78,7 @@ def eval_F(lam: float, p: PositivePair) -> float:
     ~1e-12) across lam -> 1 without a switching threshold; lam = 0 returns
     y - x bitwise.
     """
-    return _checked("F", kernels.F_scalar, check_lambda(lam), p.x, p.y)
+    return _checked("F", kernels.F_scalar, _real("lambda", lam), p.x, p.y)
 
 
 def cobb_douglas_f(lam: float, p: PositivePair) -> float:
@@ -105,12 +107,10 @@ def quantity_indicator(lam: float, x: float, y: float) -> float:
     raises NumericalError, as in eval_f.
     """
     lam = check_lambda(lam)
-    x = float(x)
-    y = float(y)
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"reference quantity x must be positive, got {x!r}")
-    if not (math.isfinite(y) and y >= 0):
-        raise DomainError(f"quantity y must be nonnegative, got {y!r}")
+    x = _real("reference quantity x", x, 0.0)
+    y = _real("quantity y", y)
+    if y < 0:
+        raise DomainError(f"quantity y must be a finite nonnegative number, got {y!r}")
     return _checked("quantity_indicator", lambda lam, x, y: y / x**lam, lam, x, y)
 
 

@@ -13,7 +13,7 @@ from collections.abc import Callable
 
 from .core import _checked
 from .errors import DomainError, NumericalError
-from .types import _FrozenRecord, _set, check_lambda
+from .types import _FrozenRecord, _real, _set, check_lambda
 
 
 class EconFunction(_FrozenRecord):
@@ -35,9 +35,8 @@ class EconFunction(_FrozenRecord):
         _set(self, "derivative", derivative)
 
     def value(self, x: float) -> float:
-        """g(x), refusing an x or g(x) that is not positive and a g(x) that is not finite."""
-        if not (math.isfinite(x) and x > 0):
-            raise DomainError(f"{self.name}: argument must be positive, got {x!r}")
+        """g(x), with x as a float, refusing an x or g(x) not positive and a g(x) not finite."""
+        x = _real("x", x, 0.0)
         g = self.eval(x)
         if g <= 0:
             raise DomainError(f"{self.name}: function value must be positive, got {g!r} at x = {x}")
@@ -65,7 +64,7 @@ def generalized_elasticity(lam: float, g: EconFunction, x: float) -> float:
     """
     return _checked("generalized_elasticity",
                     lambda lam, name, x: (x / g.value(x)) ** lam * g.derivative(x),
-                    check_lambda(lam), g.name, x)
+                    check_lambda(lam), g.name, _real("x", x, 0.0))
 
 
 def elasticity_quotient(lam: float, g: EconFunction, x: float, h: float) -> float:
@@ -73,7 +72,7 @@ def elasticity_quotient(lam: float, g: EconFunction, x: float, h: float) -> floa
 
     Converges to generalized_elasticity(lam, g, x) as h -> 0.
     """
-    lam = check_lambda(lam)
+    lam, h = check_lambda(lam), _real("h", h)
     if h == 0.0:
         raise DomainError("elasticity quotient requires a nonzero step h")
 
@@ -82,13 +81,12 @@ def elasticity_quotient(lam: float, g: EconFunction, x: float, h: float) -> floa
         gy = g.value(x + h)
         return ((gy - gx) / gx**lam) / (h / x**lam)
 
-    return _checked("elasticity_quotient", quotient, lam, x, h)
+    return _checked("elasticity_quotient", quotient, lam, _real("x", x, 0.0), h)
 
 
 def power_function(A: float, k: float) -> EconFunction:
     """g(x) = A * x**k, A > 0; constant classical elasticity k."""
-    if A <= 0:
-        raise DomainError(f"power family requires A > 0, got {A}")
+    A, k = _real("A", A, 0.0), _real("k", k)
     return EconFunction(
         f"power(A={A:g}, k={k:g})",
         lambda x: A * x**k,
@@ -98,8 +96,7 @@ def power_function(A: float, k: float) -> EconFunction:
 
 def exponential_function(A: float, b: float) -> EconFunction:
     """g(x) = A * exp(b * x), A > 0; classical elasticity b * x."""
-    if A <= 0:
-        raise DomainError(f"exponential family requires A > 0, got {A}")
+    A, b = _real("A", A, 0.0), _real("b", b)
     return EconFunction(
         f"exponential(A={A:g}, b={b:g})",
         lambda x: A * math.exp(b * x),
@@ -109,6 +106,7 @@ def exponential_function(A: float, b: float) -> EconFunction:
 
 def affine_function(a: float, b: float) -> EconFunction:
     """g(x) = a + b * x, restricted to the range where it is positive."""
+    a, b = _real("a", a), _real("b", b)
     return EconFunction(
         f"affine(a={a:g}, b={b:g})",
         lambda x: a + b * x,

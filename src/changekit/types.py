@@ -7,10 +7,15 @@ The package's value types are plain ``__slots__`` classes, not dataclasses:
 importing ``dataclasses`` (and the ``inspect`` it loads) cost more than the
 rest of ``import changekit``.  ``_Record`` and ``_FrozenRecord`` give them a
 dataclass's equality, repr and, where frozen, hashing.
+
+Every argument of the package passes one of two gates here: ``_real`` (and
+``check_lambda``, its call for lambda) returns a finite float, positive where
+the domain says so, or raises the caller's error class as ``<name> must be a
+finite real|positive number, got <value>``; ``_integer`` refuses a non-int.
 """
 from __future__ import annotations
 
-import math
+from math import inf
 
 from .errors import DomainError, ValidationError
 
@@ -52,27 +57,23 @@ class _FrozenRecord(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def check_lambda(lam: float) -> float:
-    """Validate the interpolation parameter: any finite real."""
-    try:
-        lam = float(lam)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"lambda must be a finite real number, got {lam!r}") from None
-    if not math.isfinite(lam):
-        raise DomainError(f"lambda must be finite, got {lam!r}")
-    return lam
-
-
-def _coordinate(name: str, value) -> float:
-    """``value`` as a float, or ValidationError naming the coordinate."""
+def _real(name: str, value, above: float = -inf, error: type = DomainError) -> float:
+    """``value`` as a finite float greater than ``above``, which is -inf or, for a
+    positive argument, 0.0; else ``error`` naming the argument."""
     try:
         value = float(value)
     except (TypeError, ValueError, OverflowError):
         pass
     else:
-        if math.isfinite(value) and value > 0:
+        if above < value < inf:
             return value
-    raise ValidationError(f"{name} value must be a finite positive number, got {value!r}")
+    kind = "real" if above == -inf else "positive"
+    raise error(f"{name} must be a finite {kind} number, got {value!r}")
+
+
+def check_lambda(lam: float) -> float:
+    """Validate the interpolation parameter: any finite real."""
+    return _real("lambda", lam)
 
 
 class PositivePair(_FrozenRecord):
@@ -83,11 +84,12 @@ class PositivePair(_FrozenRecord):
     y: float
 
     def __init__(self, x: float, y: float):
-        _set(self, "x", _coordinate("past", x))
-        _set(self, "y", _coordinate("present", y))
+        _set(self, "x", _real("past value", x, 0.0, ValidationError))
+        _set(self, "y", _real("present value", y, 0.0, ValidationError))
 
     def scaled(self, c: float) -> "PositivePair":
         """The pair (c*x, c*y), c > 0."""
+        c = _real("scale factor c", c, 0.0)
         return PositivePair(c * self.x, c * self.y)
 
 
@@ -120,11 +122,11 @@ class SampleConfig(_FrozenRecord):
         if _integer("sample count", count) < 1:
             raise ValidationError(f"sample count must be positive, got {count}")
         try:
-            lo, hi = map(float, lambda_range)
-        except (TypeError, ValueError, OverflowError):
-            lo = hi = math.nan
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError(f"lambda_range must be two finite numbers, got {lambda_range!r}")
+            lo, hi = lambda_range
+        except (TypeError, ValueError):
+            raise ValidationError(f"lambda_range must be a pair, got {lambda_range!r}") from None
+        lo = _real("lambda_range[0]", lo, -inf, ValidationError)
+        hi = _real("lambda_range[1]", hi, -inf, ValidationError)
         if lo > hi:
             raise ValidationError(f"lambda_range is empty: {lambda_range}")
         _set(self, "seed", seed)

@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,14 +156,27 @@ class TestTaylorSeries:
     @pytest.mark.parametrize("lam, x, y, order, message", [
         # The 32nd coefficient overflows: x**31.5 is 1e-315.
         (0.5, 1e-10, 2e-10, 64, "taylor_coefficient[0.5](32, 1e-10) is not finite: -inf"),
-        # Every coefficient is 0 at lam = 0, but (y - x)**3 overflows: 0 * inf.
-        (0.0, 1.0, 1e103, 3, "taylor_F[0](1.0, 1e+103) is not finite: nan"),
+        # The 4th coefficient underflows to -0.0, but is not 0: the sum
+        # keeps its term, and (y - x)**4 overflows, so the term is 0 * inf.
+        (1e-300, 1e10, 1e80, 4, "taylor_F[1e-300](10000000000.0, 1e+80) is not finite: nan"),
         (2.0, 1.0, 1e200, 2, "taylor_F[2](1.0, 1e+200) is not finite: -inf"),
-    ], ids=["coefficient", "nan-sum", "inf-sum"])
+    ], ids=["coefficient", "underflow-nan-sum", "inf-sum"])
     def test_non_finite_value_is_numerical_error(self, lam, x, y, order, message):
         with pytest.raises(NumericalError) as info:
             taylor_F(lam, PositivePair(x, y), order)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("lam, x, y, order", [
+        (0.0, 1.0, 1e103, 3), (-1.0, 1.0, 1e103, 4), (-2.0, 2.0, 1e80, 6),
+    ])
+    def test_terminating_series_is_F_where_its_dropped_powers_overflow(self, lam, x, y, order):
+        # At lam = 0, -1, -2 every coefficient past order 1 - lam is exactly 0,
+        # so the truncation is F, the polynomial (y**m - x**m) / m with
+        # m = 1 - lam, though (y - x)**order is past the float range.
+        m = 1 - int(lam)
+        exact = (Fraction(y) ** m - Fraction(x) ** m) / m
+        value = taylor_F(lam, PositivePair(x, y), order)
+        assert abs(Fraction(value) - exact) <= exact * Fraction(2) ** -52
 
     def test_order_out_of_range(self):
         with pytest.raises(DomainError):

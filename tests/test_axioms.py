@@ -165,23 +165,36 @@ class TestSharedDraws:
               check_vartia_invariance, check_antisymmetry, check_additivity)
 
     @staticmethod
-    def writer(xs, ys):
+    def write_xs(xs, ys):
         xs[0] = 1.0
         return ys - xs
 
-    def test_an_indicator_that_writes_into_its_samples_raises(self):
+    @staticmethod
+    def write_ys(xs, ys):
+        ys[...] = xs
+        return ys - xs
+
+    @pytest.mark.parametrize("writer", ["write_xs", "write_ys"])
+    def test_an_indicator_that_writes_into_its_samples_raises(self, writer):
         # Alone or sharing draws, the samples are read-only, so a later
-        # check never sees the changes of an earlier one.
+        # check never sees the changes of an earlier one, and naturality's
+        # copy of y with its stagnant tenth is read-only too.
+        writer = getattr(self, writer)
         alone = []
         for check in self.CHECKS:
             with pytest.raises(ValueError, match="read-only"):
-                check(self.writer, cfg())
+                check(writer, cfg())
             alone.append(check(abs_indicator(), cfg()))
         with shared_draws():
             for check, report in zip(self.CHECKS, alone):
                 with pytest.raises(ValueError, match="read-only"):
-                    check(self.writer, cfg())
+                    check(writer, cfg())
                 assert check(abs_indicator(), cfg()) == report
+        # normed hands one (x, y) to F and then to f: neither can change
+        # what the other reads.
+        for families in ((lambda lam: writer, f_indicator), (F_indicator, lambda lam: writer)):
+            with pytest.raises(ValueError, match="read-only"):
+                check_normed(*families, cfg())
 
     def test_shared_reports_are_the_reports_alone(self):
         ind = f_indicator(0.5)

@@ -442,6 +442,21 @@ class TestCommands:
         assert (code, out, err) == (
             1, "", f"error: DomainError: parameter {key!r} repeated in {spec!r}\n")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("power:A=nan,k=1", "A must be a finite positive number, got nan"),
+        ("power:A=inf,k=1", "A must be a finite positive number, got inf"),
+        ("exponential:A=1,b=inf", "b must be a finite real number, got inf"),
+        ("affine:a=nan,b=1", "a must be a finite real number, got nan"),
+    ], ids=["power-A-nan", "power-A-inf", "exponential-b-inf", "affine-a-nan"])
+    def test_elasticity_parameter_that_is_not_finite_exits_one(self, capsys, strict_json,
+                                                               spec, message):
+        # The family refuses it, as it refuses A <= 0, before any value is
+        # computed: an input error, not a numerical one.
+        argv = ["elasticity", "--fn", spec, "--x", "2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: DomainError: {message}\n")
+        check_cli_contract(strict_json, argv, b"", "file")
+
     @pytest.mark.parametrize("argv, message", [
         (["elasticity", "--fn", "power:A=1e200,k=1", "--lambda=-1.5", "--x", "1"],
          "generalized_elasticity[-1.5]('power(A=1e+200, k=1)', 1.0) is not finite: inf"),
@@ -505,18 +520,20 @@ class TestCommands:
         code, _, err = run_cli(capsys, "plot-data", "--lambdas", "x")
         assert code == 1 and "bad lambda list" in err
         # y_max = inf, and a last point that rounds to inf
-        for bounds in (["--y-max", "inf"],
-                       ["--y-min", "1e-300", "--y-max", "1.7976931348623157e308",
-                        "--points", "7"]):
-            code, out, err = run_cli(capsys, "plot-data", *bounds)
-            assert (code, out) == (1, "")
-            assert err.startswith("error: DomainError: grid range (") and "not finite" in err
+        code, out, err = run_cli(capsys, "plot-data", "--y-max", "inf")
+        assert (code, out, err) == (
+            1, "", "error: DomainError: grid hi must be a finite positive number, got inf\n")
+        code, out, err = run_cli(capsys, "plot-data", "--y-min", "1e-300",
+                                 "--y-max", "1.7976931348623157e308", "--points", "7")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: DomainError: grid range (") and "not finite" in err
 
     def test_plot_data_checks_every_lambda_before_any_cell(self, capsys):
         # F_400(1, 1e-300) overflows, but the nan after it is reported first
         grid = ["--y-min", "1e-300", "--y-max", "1e-299", "--points", "2"]
         code, out, err = run_cli(capsys, "plot-data", "--lambdas=0.5,400,nan", *grid)
-        assert (code, out, err) == (1, "", "error: DomainError: lambda must be finite, got nan\n")
+        assert (code, out, err) == (
+            1, "", "error: DomainError: lambda must be a finite real number, got nan\n")
         code, out, err = run_cli(capsys, "plot-data", "--lambdas=400", *grid)
         assert (code, out) == (2, "") and "NumericalError" in err
 
@@ -871,6 +888,13 @@ def csv_bytes(draw):
     return draw(_mostly(st.just(text.encode(encoding, "replace")), st.binary(max_size=40)))
 
 
+def _finite_number(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def check_cli_contract(strict_json, argv, content, source):
     """main(argv), its input from content as a file, stdin, a missing path or
     a directory: the exit code, stderr and stdout keep the CLI's contract."""
@@ -901,6 +925,11 @@ def check_cli_contract(strict_json, argv, content, source):
     else:  # a handler's error: one line
         assert errors.startswith(("error: ", "numerical error: "))
         assert errors.count("\n") == 1 and errors.endswith("\n")
+    if argv[0] == "elasticity" and not usage:
+        # A family parameter that is no finite number is an input error.
+        params = build_parser().parse_args(argv).fn.partition(":")[2].split(",")
+        if not all(_finite_number(item.partition("=")[2]) for item in params):
+            assert code == 1
     if not text:
         return
     kind = getattr(build_parser().parse_args(argv), "format", None)  # a handler ran: argv parses

@@ -214,7 +214,7 @@ class TestNumericalErrors:
         # divides by zero there.
         with pytest.raises(DomainError, match="function value must be positive, got 0.0"):
             fn(EconFunction("zero", lambda x: 0.0, lambda x: 1 / 0), 1.0)
-        with pytest.raises(DomainError, match="argument must be positive, got 0.0"):
+        with pytest.raises(DomainError, match="x must be a finite positive number, got 0.0"):
             fn(power_function(1, 0.5), 0.0)
 
 

@@ -212,12 +212,11 @@ BAD_CONFIGS = [
     ({"seed": True}, "seed must be an integer, got True"),
     ({"seed": 1.0}, "seed must be an integer, got 1.0"),
     ({"seed": "7"}, "seed must be an integer, got '7'"),
-    ({"lambda_range": (math.nan, 1.0)}, "lambda_range must be two finite numbers, got (nan, 1.0)"),
-    ({"lambda_range": (0.0, math.inf)}, "lambda_range must be two finite numbers, got (0.0, inf)"),
-    ({"lambda_range": (0.0, 1.0, 2.0)},
-     "lambda_range must be two finite numbers, got (0.0, 1.0, 2.0)"),
-    ({"lambda_range": (None, 1.0)}, "lambda_range must be two finite numbers, got (None, 1.0)"),
-    ({"lambda_range": 1.0}, "lambda_range must be two finite numbers, got 1.0"),
+    ({"lambda_range": (math.nan, 1.0)}, "lambda_range[0] must be a finite real number, got nan"),
+    ({"lambda_range": (0.0, math.inf)}, "lambda_range[1] must be a finite real number, got inf"),
+    ({"lambda_range": (0.0, 1.0, 2.0)}, "lambda_range must be a pair, got (0.0, 1.0, 2.0)"),
+    ({"lambda_range": (None, 1.0)}, "lambda_range[0] must be a finite real number, got None"),
+    ({"lambda_range": 1.0}, "lambda_range must be a pair, got 1.0"),
 ]
 
 
