@@ -6,7 +6,7 @@ import math
 
 from .core import _MIN_NORMAL, _checked, eval_F, eval_f
 from .errors import DomainError, NumericalError
-from .types import PositivePair, _integer, _real, check_lambda
+from .types import PositivePair, _integer, _real, _shown, check_lambda
 
 # Coefficients beyond this order are numerically negligible or overflow-prone.
 MAX_TAYLOR_ORDER = 64
@@ -14,7 +14,7 @@ MAX_TAYLOR_ORDER = 64
 
 def _order(name: str, n: int, low: int) -> int:
     if not low <= _integer(name, n) <= MAX_TAYLOR_ORDER:
-        raise DomainError(f"{name} must be in [{low}, {MAX_TAYLOR_ORDER}], got {n}")
+        raise DomainError(f"{name} must be in [{low}, {MAX_TAYLOR_ORDER}], got {_shown(n)}")
     return n
 
 
@@ -120,9 +120,9 @@ def box_cox(lam: float, y: float) -> float:
 
 
 def default_curve_grid(points: int, lo: float, hi: float) -> list[float]:
-    """Uniform grid of ``points`` values on [lo, hi], 0 < lo < hi."""
-    if _integer("grid points", points) < 2:
-        raise DomainError(f"grid needs at least 2 points, got {points}")
+    """Uniform grid of ``points`` values on [lo, hi], 0 < lo < hi, 2 <= points <= 2**53."""
+    if not 2 <= _integer("grid points", points) <= 2**53:  # past it, floats skip indices
+        raise DomainError(f"grid needs at least 2 points and at most 2**53, got {_shown(points)}")
     lo, hi = _real("grid lo", lo, 0.0), _real("grid hi", hi, 0.0)
     if not lo < hi:
         raise DomainError(f"grid range must satisfy lo < hi, got ({lo}, {hi})")

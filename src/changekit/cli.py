@@ -5,13 +5,14 @@ Exit codes are a stable contract: 0 success, 1 validation/parse error,
 2 internal numerical error.  Output is deterministic: identical inputs and
 flags produce byte-identical output (including JSON key order).
 
-``rank`` holds no class instance per row: ``parse_csv`` reads a ``Dataset``
-of columns (labels, past and present values), ``rank_dataset`` evaluates the
-family once over the columns and returns ``Row`` tuples in rank order, and
-``render_reports`` formats each row with one ``%`` operation on a format
-string built once per call.  A relative change that overflows is refused
-with exit 2, as a value that is not finite is, so ``rank`` prints only
-finite numbers.
+``rank`` holds the input's columns and one list of rows: ``parse_csv``
+reads a ``Dataset`` of columns (labels, past and present values),
+``rank_dataset`` evaluates the family once over the columns into one list,
+sorts it and replaces each entry by its ``Row`` tuple, and
+``render_reports`` writes each row as it formats it, with one ``%``
+operation on a format string built once per call, in every format.  A
+relative change that overflows is refused with exit 2, as a value that is
+not finite is, so ``rank`` prints only finite numbers.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ from operator import itemgetter
 from . import _kernels_py as kernels
 from . import core
 from .errors import ChangekitError, NumericalError, ParseError, ValidationError
-from .types import PositivePair, SampleConfig, _FrozenRecord, _Record, _integer, _set, check_lambda
+from .types import (PositivePair, SampleConfig, _FrozenRecord, _Record, _integer, _set, _shown,
+                    check_lambda)
 
 DEFAULT_LAMBDA = 0.5  # the symmetric choice between absolute and relative
 
@@ -72,9 +74,10 @@ class OutputFormat(_FrozenRecord):
 
     def __init__(self, kind: str = "table", precision: int = 2):
         if kind not in ("table", "csv", "json"):
-            raise ValidationError(f"unknown output format {kind!r}")
+            raise ValidationError(f"unknown output format {_shown(kind)}")
         if not 0 <= _integer("precision", precision) <= FULL_PRECISION:
-            raise ValidationError(f"precision must be in [0, {FULL_PRECISION}], got {precision}")
+            raise ValidationError(
+                f"precision must be in [0, {FULL_PRECISION}], got {_shown(precision)}")
         _set(self, "kind", kind)
         _set(self, "precision", precision)
 
@@ -153,7 +156,8 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     Each value goes through ``core._checked``, the gate of ``core.eval_f``
     and ``eval_F``, in input order: the first row whose value is not finite,
     or whose kernel call overflows or divides by zero, raises its
-    NumericalError.
+    NumericalError.  The values go straight into the one list that is
+    sorted and then returned, each entry replaced by its row.
 
     A value shares the rank of the rank's first value, its head, while it is
     within ``RANK_TIE_REL * max(1, |head|)`` of the head.  The band is
@@ -163,29 +167,29 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     """
     lam = check_lambda(lam)
     if indicator not in ("f", "F"):
-        raise ValidationError(f"indicator must be 'f' or 'F', got {indicator!r}")
+        raise ValidationError(f"indicator must be 'f' or 'F', got {_shown(indicator)}")
     labels, xs, ys = ds.labels, ds.xs, ds.ys
     # Rounding is monotone and fl(y - x) <= y, so every row's percentage is at
     # most fl(max(ys) / min(xs) * 100): the rows are scanned only when that
-    # bound is not finite.
-    if not isfinite(max(ys) / min(xs) * 100):
+    # bound is not finite.  No rows rank as no rows.
+    if xs and not isfinite(max(ys) / min(xs) * 100):
         for label, x, y in zip(labels, xs, ys):
             if not isfinite((rel := (y - x) / x) * 100):
                 raise NumericalError(f"observation {label!r}: relative change ({y!r} - {x!r}) / "
                                      f"{x!r} = {rel!r} is not finite in percent")
     kernel = kernels.f_scalar if indicator == "f" else kernels.F_scalar
-    values = list(map(core._checked, repeat(indicator), repeat(kernel), repeat(lam), xs, ys))
-    # Two stable sorts give the order of the key (-value, label).
-    observations = list(zip(labels, xs, ys, values))
-    observations.sort(key=itemgetter(0))
-    observations.sort(key=itemgetter(3), reverse=True)
-    rows = []
+    values = map(core._checked, repeat(indicator), repeat(kernel), repeat(lam), xs, ys)
+    # Two stable sorts give the order of the key (-value, label); each
+    # (label, x, y, value) is then replaced by its row, so one list holds them.
+    rows = list(zip(labels, xs, ys, values))
+    rows.sort(key=itemgetter(0))
+    rows.sort(key=itemgetter(3), reverse=True)
     rank, head, band = 0, inf, 0.0
-    for label, x, y, value in observations:
+    for i, (label, x, y, value) in enumerate(rows):
         if head - value > band:
             rank += 1
             head, band = value, RANK_TIE_REL * max(1.0, abs(value))
-        rows.append((label, x, y, value, rank))
+        rows[i] = (label, x, y, value, rank)
     return rows
 
 
@@ -218,8 +222,10 @@ def render_reports(
     built once per call.  The bytes are those of ``csv.writer``,
     ``json.dumps`` and ``str.format``: ``%r`` is ``repr``, ``%.pf`` is
     ``{:.pf}``, and the table's ``%.pf%%`` of ``rel * 100`` is ``{:.p%}``.
-    csv and json are written as they are formatted; the table keeps its
-    formatted cells for the widths.
+    Every format is written as it is formatted and keeps no text per row.
+    The table takes two passes: the first formats each cell for its
+    column's width alone, the second writes each line with the widths in
+    its conversions, such as ``%-8.2f``.
     """
     if "\r" in unit or "\n" in unit:
         raise ValidationError(f"unit {unit!r} holds a line break")
@@ -251,17 +257,24 @@ def render_reports(
         out.writelines(line % (_csv_label(label), x, y, y - x, (y - x) / x, value, rank)
                        for label, x, y, value, rank in rows)
         return
-    # The table's rel cell is a percentage at every precision.  No number
-    # holds a tab, so one tab-joined string splits into the five cells.
-    numbers = f"{num}\t{num}\t{num}\t%.{p}f%%\t{num}"
+    # Two passes over the rows: the columns' widths, then the lines.  The
+    # table's rel cell is a percentage at every precision, padded as a string.
+    rel = f"%.{p}f%%"
     headers = ("label", "past", "present", "abs", "rel", f"{indicator}_{lam:.4g}", "rank")
-    cells = [(label, *(numbers % (x, y, y - x, (y - x) / x * 100, value)).split("\t"), rank)
-             for label, x, y, value, rank in rows]
-    widths = [max(map(len, column)) for column in zip(headers[:-1], *cells)]
+    cell = num.__mod__
+    columns = ((str, map(itemgetter(0), rows)),
+               (cell, map(itemgetter(1), rows)),
+               (cell, map(itemgetter(2), rows)),
+               (cell, (y - x for _, x, y, _, _ in rows)),
+               (rel.__mod__, ((y - x) / x * 100 for _, x, y, _, _ in rows)),
+               (cell, map(itemgetter(3), rows)))
+    widths = [max(len(header), max(map(len, map(show, column)), default=0))
+              for header, (show, column) in zip(headers, columns)]
     # Cells are left-aligned; the last one is not padded, so no line ends in a space.
-    line = "".join(f"%-{w}s  " for w in widths) + "%s\n"
-    out.write(line % headers)
-    out.writelines(map(line.__mod__, cells))
+    out.write(("%-{}s  " * 6 + "%s\n").format(*widths) % headers)
+    line = "%-{}s  %-{}{c}  %-{}{c}  %-{}{c}  %-{}s  %-{}{c}  %d\n".format(*widths, c=num[1:])
+    out.writelines(line % (label, x, y, y - x, rel % ((y - x) / x * 100), value, rank)
+                   for label, x, y, value, rank in rows)
     if unit:
         # Units are metadata only; the indicator value notionally carries
         # the unit raised to the (1 - lambda) power.
@@ -351,7 +364,7 @@ def run_verify(target: str, lam: float, cfg: SampleConfig) -> tuple[list[dict], 
     from . import axioms  # the one command that loads numpy
 
     if target not in _VERIFY_PLAN:
-        raise ValidationError(f"unknown verify target {target!r}")
+        raise ValidationError(f"unknown verify target {_shown(target)}")
     ind = _target_indicator(target, lam)
     results: list[dict] = []
     all_ok = True

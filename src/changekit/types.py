@@ -12,6 +12,8 @@ Every argument of the package passes one of two gates here: ``_real`` (and
 ``check_lambda``, its call for lambda) returns a finite float, positive where
 the domain says so, or raises the caller's error class as ``<name> must be a
 finite real|positive number, got <value>``; ``_integer`` refuses a non-int.
+These refusals, and the range refusals elsewhere that print an argument,
+show it through ``_shown``, which prints even an int too long for ``repr``.
 """
 from __future__ import annotations
 
@@ -57,6 +59,18 @@ class _FrozenRecord(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message.  Python refuses to print an int
+    of more than ``sys.get_int_max_str_digits()`` digits, so such an int shows
+    as its sign and bit count, and a value that holds one as its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__}>"
+
+
 def _real(name: str, value, above: float = -inf, error: type = DomainError) -> float:
     """``value`` as a finite float greater than ``above``, which is -inf or, for a
     positive argument, 0.0; else ``error`` naming the argument."""
@@ -68,7 +82,7 @@ def _real(name: str, value, above: float = -inf, error: type = DomainError) -> f
         if above < value < inf:
             return value
     kind = "real" if above == -inf else "positive"
-    raise error(f"{name} must be a finite {kind} number, got {value!r}")
+    raise error(f"{name} must be a finite {kind} number, got {_shown(value)}")
 
 
 def check_lambda(lam: float) -> float:
@@ -97,7 +111,7 @@ def _integer(name: str, value) -> int:
     """``value`` if it is an int and not a bool, else ValidationError naming it."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+    raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
 
 
 class SampleConfig(_FrozenRecord):
@@ -118,13 +132,14 @@ class SampleConfig(_FrozenRecord):
         lambda_range: tuple[float, float] = (-2.0, 3.0),
     ):
         if _integer("seed", seed) < 0:
-            raise ValidationError(f"seed must be non-negative, got {seed}")
+            raise ValidationError(f"seed must be non-negative, got {_shown(seed)}")
         if _integer("sample count", count) < 1:
-            raise ValidationError(f"sample count must be positive, got {count}")
+            raise ValidationError(f"sample count must be positive, got {_shown(count)}")
         try:
             lo, hi = lambda_range
         except (TypeError, ValueError):
-            raise ValidationError(f"lambda_range must be a pair, got {lambda_range!r}") from None
+            raise ValidationError(
+                f"lambda_range must be a pair, got {_shown(lambda_range)}") from None
         lo = _real("lambda_range[0]", lo, -inf, ValidationError)
         hi = _real("lambda_range[1]", hi, -inf, ValidationError)
         if lo > hi:

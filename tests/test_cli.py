@@ -4,11 +4,14 @@ import io
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
+from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -140,6 +143,9 @@ class TestRanking:
         reports = rank_dataset(ds, 0.5)
         assert reports == [("only", 3.0, 4.0, kernels.f_scalar(0.5, 3.0, 4.0), 1)]
 
+    def test_no_rows(self):
+        assert rank_dataset(Dataset([], [], []), 0.5) == []
+
     def test_unknown_indicator(self):
         ds = Dataset(["only"], [3.0], [4.0])
         with pytest.raises(ValidationError, match="indicator must be 'f' or 'F'"):
@@ -250,6 +256,62 @@ class TestRendering:
             OutputFormat("csv", -1)
         with pytest.raises(ValidationError, match="unknown output format"):
             OutputFormat("xml")
+
+
+def _dataset(n):
+    """n observations whose values spread over six decades, the same on every run."""
+    rng = random.Random(n)
+    xs = [10 ** rng.uniform(-3, 3) for _ in range(n)]
+    ys = [x * 10 ** rng.uniform(-1, 1) for x in xs]
+    return Dataset([f"row{i}" for i in range(n)], xs, ys)
+
+
+def _traced(call):
+    """What ``call()`` allocated at its peak, and what it still held when it
+    returned, both above what was allocated when it began, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - start, held - start
+
+
+class _Sink:
+    """An output stream that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, lines):
+        deque(lines, maxlen=0)
+
+
+@pytest.fixture(scope="module")
+def ranked_rows():
+    return {n: rank_dataset(_dataset(n), 0.5) for n in (10_000, 40_000)}
+
+
+class TestMemory:
+    @pytest.mark.parametrize("precision", [2, 15])
+    @pytest.mark.parametrize("kind", ["table", "csv", "json"])
+    def test_render_holds_no_text_per_row(self, ranked_rows, kind, precision):
+        # Every format writes each row as it formats it, so four times the
+        # rows peak no higher: a per-row string would add 30k of them.
+        fmt = OutputFormat(kind, precision)
+        peak = {n: _traced(lambda: render_reports(rows, fmt, "f", 0.5, _Sink()))[0]
+                for n, rows in ranked_rows.items()}
+        assert peak[40_000] - peak[10_000] < 2**19, peak
+
+    def test_rank_holds_one_list_of_rows(self):
+        # The values, the sort and the ranks share one list: its peak is at
+        # most the rows it returns, and the sort's keys.
+        ds = _dataset(40_000)
+        peak, held = _traced(lambda: rank_dataset(ds, 0.5))
+        assert peak <= 1.1 * held, (peak, held)
 
 
 class TestCommands:

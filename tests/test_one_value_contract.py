@@ -54,10 +54,11 @@ from changekit.elasticity import affine_function, exponential_function, power_fu
 SPECIAL_LAMBDAS = (0.0, 1.0, 0.5, -1.0, 2.0, 1 - 2**-52)
 
 #: Values of a real argument outside its domain: the last two only where it
-#: must be positive.
-BAD_REALS = (None, "a", [1.0], math.nan, math.inf, -math.inf, 10**400, 0.0, -1.0)
+#: must be positive.  Python refuses to print an int of 5,001 digits.
+BAD_REALS = (None, "a", [1.0], math.nan, math.inf, -math.inf, 10**400, 10**5000, -(10**5000),
+             0.0, -1.0)
 #: Values of an integer argument outside its domain: 65 only for a Taylor order.
-BAD_INTEGERS = (2.5, True, "3", None, 65)
+BAD_INTEGERS = (2.5, True, "3", None, 65, 10**5000, -(10**5000))
 
 
 def _calls(lam, x, y, z, w, e, h, k):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from changekit.approximation import default_curve_grid, taylor_F
 from changekit.axioms import CheckReport
 from changekit.calibration import CalibrationInput
 from changekit.cli import Dataset, OutputFormat
@@ -229,3 +230,31 @@ def test_sample_config_stores_lambda_range_as_two_floats():
     cfg = SampleConfig(lambda_range=[0, 1])
     assert cfg.lambda_range == (0.0, 1.0) and type(cfg.lambda_range[0]) is float
     assert cfg == SampleConfig(lambda_range=(0.0, 1.0)) and hash(cfg)
+
+
+#: An int of 5,001 digits, more than Python prints: (call, error, message).
+HUGE = 10**5000
+HUGE_INTS = [
+    (lambda: eval_f(HUGE, PositivePair(1, 2)), DomainError,
+     "lambda must be a finite real number, got <int of 16610 bits>"),
+    (lambda: PositivePair(-HUGE, 2), ValidationError,
+     "past value must be a finite positive number, got <negative int of 16610 bits>"),
+    (lambda: SampleConfig(seed=-HUGE), ValidationError,
+     "seed must be non-negative, got <negative int of 16610 bits>"),
+    (lambda: SampleConfig(count=-HUGE), ValidationError,
+     "sample count must be positive, got <negative int of 16610 bits>"),
+    (lambda: SampleConfig(lambda_range=(HUGE,)), ValidationError,
+     "lambda_range must be a pair, got <tuple>"),
+    (lambda: OutputFormat("table", HUGE), ValidationError,
+     "precision must be in [0, 15], got <int of 16610 bits>"),
+    (lambda: taylor_F(0.5, PositivePair(1, 2), HUGE), DomainError,
+     "Taylor order must be in [1, 64], got <int of 16610 bits>"),
+    (lambda: default_curve_grid(HUGE, 1, 2), DomainError,
+     "grid needs at least 2 points and at most 2**53, got <int of 16610 bits>"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", HUGE_INTS, ids=[
+    "lambda", "pair", "seed", "count", "lambda_range", "precision", "taylor-order", "grid-points"])
+def test_an_int_too_long_to_print_is_refused_by_its_sign_and_bit_count(make, error, message):
+    assert _refusal(make) == (error, message)
