@@ -18,7 +18,9 @@ it goes through log and expm1, which do not give back ``y - x`` exactly.
 
 ``F`` is written in ``_F`` over a (log, expm1) pair: bound to ``math`` it
 is ``F_scalar``, bound to numpy it is the formula behind ``F_many``.  Its
-lam = 1 branch is the one log-ratio of the package.
+lam = 1 branch is one of the package's two log-ratios; the other,
+``calibration._log_ratio``, takes operands of either sign and the ends of
+the float range, and is to be merged with it.
 """
 import math
 

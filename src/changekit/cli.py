@@ -32,7 +32,7 @@ from . import _kernels_py as kernels
 from . import core
 from .errors import ChangekitError, NumericalError, ParseError, ValidationError
 from .types import (PositivePair, SampleConfig, _FrozenRecord, _Record, _integer, _set, _shown,
-                    check_lambda)
+                    _text, check_lambda)
 
 DEFAULT_LAMBDA = 0.5  # the symmetric choice between absolute and relative
 
@@ -212,7 +212,8 @@ def render_reports(
     unit: str = "",
 ) -> None:
     """Write ranked rows as a table, csv or json; ``unit`` is a table footnote,
-    refused in every format, before any output, if it holds a line break.
+    refused in every format, before any output, if it is not a str or holds
+    a line break.
 
     The rows' values and relative changes, in percent too, are finite, as
     ``rank_dataset`` returns them.  The absolute and relative changes are
@@ -227,7 +228,7 @@ def render_reports(
     column's width alone, the second writes each line with the widths in
     its conversions, such as ``%-8.2f``.
     """
-    if "\r" in unit or "\n" in unit:
+    if "\r" in _text("unit", unit) or "\n" in unit:
         raise ValidationError(f"unit {unit!r} holds a line break")
     p = fmt.precision
     full = p >= FULL_PRECISION
@@ -363,7 +364,7 @@ def run_verify(target: str, lam: float, cfg: SampleConfig) -> tuple[list[dict], 
     """
     from . import axioms  # the one command that loads numpy
 
-    if target not in _VERIFY_PLAN:
+    if _text("verify target", target) not in _VERIFY_PLAN:
         raise ValidationError(f"unknown verify target {_shown(target)}")
     ind = _target_indicator(target, lam)
     results: list[dict] = []

@@ -13,7 +13,7 @@ from collections.abc import Callable
 
 from .core import _checked
 from .errors import DomainError, NumericalError
-from .types import _FrozenRecord, _real, _set, check_lambda
+from .types import _FrozenRecord, _real, _set, _text, check_lambda
 
 
 class EconFunction(_FrozenRecord):
@@ -124,7 +124,7 @@ REGISTRY: dict[str, Callable[..., EconFunction]] = {
 
 def parse_function_spec(spec: str) -> EconFunction:
     """Build a registry function from a spec like ``power:A=5,k=0.3``."""
-    name, _, params = spec.partition(":")
+    name, _, params = _text("function spec", spec, DomainError).partition(":")
     name = name.strip().lower()
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))

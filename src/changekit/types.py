@@ -8,10 +8,11 @@ importing ``dataclasses`` (and the ``inspect`` it loads) cost more than the
 rest of ``import changekit``.  ``_Record`` and ``_FrozenRecord`` give them a
 dataclass's equality, repr and, where frozen, hashing.
 
-Every argument of the package passes one of two gates here: ``_real`` (and
-``check_lambda``, its call for lambda) returns a finite float, positive where
-the domain says so, or raises the caller's error class as ``<name> must be a
-finite real|positive number, got <value>``; ``_integer`` refuses a non-int.
+Every argument of the package passes one of three gates here: ``_real``
+(and ``check_lambda``, its call for lambda) returns a finite float, positive
+where the domain says so, or raises the caller's error class as ``<name> must
+be a finite real|positive number, got <value>``; ``_integer`` refuses a
+non-int, and ``_text`` a non-str.
 These refusals, and the range refusals elsewhere that print an argument,
 show it through ``_shown``, which prints even an int too long for ``repr``.
 """
@@ -112,6 +113,13 @@ def _integer(name: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
+
+
+def _text(name: str, value, error: type = ValidationError) -> str:
+    """``value`` if it is a str, else ``error`` naming it."""
+    if isinstance(value, str):
+        return value
+    raise error(f"{name} must be a string, got {_shown(value)}")
 
 
 class SampleConfig(_FrozenRecord):

@@ -5,13 +5,15 @@ ChangekitError, never inf, NaN or a bare arithmetic or type error.
 Every real argument is also drawn outside its domain: not a number, not
 finite, 0 or negative; so is every integer argument: not an int, a bool, or
 past the Taylor orders.  A value that is no finite real, or no int, is
-refused by every call that takes it.
+refused by every call that takes it.  So is a text argument that is no
+str, though the command line passes only strings.
 
 The named indicators and elasticities are calls of their family's gated
 evaluator, so a seeded sweep pins that each returns the bits of its
 classical expression wherever that expression is finite, and refuses
 where it is not.
 """
+import io
 import math
 import random
 
@@ -22,8 +24,10 @@ from hypothesis import strategies as st
 from changekit import (
     CalibrationInput,
     ChangekitError,
+    DomainError,
     EconFunction,
     PositivePair,
+    ValidationError,
     abs_change,
     box_cox,
     calibrate_lambda,
@@ -46,9 +50,12 @@ from changekit import (
     taylor_coefficient,
     taylor_F,
 )
+from changekit import cli
 from changekit.approximation import default_curve_grid
 from changekit.calibration import scaled_relative_pair
-from changekit.elasticity import affine_function, exponential_function, power_function
+from changekit.elasticity import (affine_function, exponential_function, parse_function_spec,
+                                  power_function)
+from changekit.types import SampleConfig
 
 #: Lambdas that are family endpoints, the symmetric choice, or one ulp below 1.
 SPECIAL_LAMBDAS = (0.0, 1.0, 0.5, -1.0, 2.0, 1 - 2**-52)
@@ -184,6 +191,23 @@ def test_every_one_value_function_returns_a_finite_float_or_refuses(lam, pair, o
     z, w = sorted(other, reverse=y < x)
     drawn = dict(lam=lam, x=x, y=y, z=z, w=w, e=e, h=y - x, k=k)
     assert _offenders(**{**drawn, **bad}) == {}
+
+
+@pytest.mark.parametrize("call, name, error", [
+    (parse_function_spec, "function spec", DomainError),
+    (lambda unit: cli.render_reports([], cli.OutputFormat(), "f", 0.5, io.StringIO(), unit),
+     "unit", ValidationError),
+    (lambda target: cli.run_verify(target, 0.5, SampleConfig(count=10)), "verify target",
+     ValidationError),
+], ids=["parse_function_spec", "render_reports", "run_verify"])
+@pytest.mark.parametrize("value, shown", [
+    (5, "5"), (None, "None"), (b"power:A=1,k=1", "b'power:A=1,k=1'"), (["f"], "['f']"),
+    (10**5000, "<int of 16610 bits>"),
+], ids=["int", "None", "bytes", "list", "long-int"])
+def test_a_text_argument_that_is_no_str_is_refused_by_name(call, name, error, value, shown):
+    with pytest.raises(error) as refused:
+        call(value)
+    assert str(refused.value) == f"{name} must be a string, got {shown}"
 
 
 def _rising_factorial(a, m):
