@@ -4,6 +4,9 @@ Subcommands: rank, compare, calibrate, verify, elasticity, plot-data.
 Exit codes are a stable contract: 0 success, 1 validation/parse error,
 2 internal numerical error.  Output is deterministic: identical inputs and
 flags produce byte-identical output (including JSON key order).
+``changekit CMD ...`` builds the parser of CMD alone; any other argv builds
+the parser of all six commands, so every help text, usage line and error
+reads as it does with the full parser.
 
 ``rank`` holds the input's columns and one list of rows: ``parse_csv``
 reads a ``Dataset`` of columns (labels, past and present values),
@@ -145,6 +148,11 @@ def parse_csv(stream: Iterable[str], source: str = "<stdin>") -> Dataset:
     return Dataset(labels, xs, ys)
 
 
+def _check_indicator(indicator: str) -> None:
+    if indicator not in ("f", "F"):
+        raise ValidationError(f"indicator must be 'f' or 'F', got {_shown(indicator)}")
+
+
 def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     """Rows dense-ranked by the chosen family, sorted by descending value, then label.
 
@@ -166,8 +174,7 @@ def rank_dataset(ds: Dataset, lam: float, indicator: str = "f") -> list[Row]:
     ranks are 1, 1, 2.
     """
     lam = check_lambda(lam)
-    if indicator not in ("f", "F"):
-        raise ValidationError(f"indicator must be 'f' or 'F', got {_shown(indicator)}")
+    _check_indicator(indicator)
     labels, xs, ys = ds.labels, ds.xs, ds.ys
     # Rounding is monotone and fl(y - x) <= y, so every row's percentage is at
     # most fl(max(ys) / min(xs) * 100): the rows are scanned only when that
@@ -211,9 +218,11 @@ def render_reports(
     out: TextIOBase,
     unit: str = "",
 ) -> None:
-    """Write ranked rows as a table, csv or json; ``unit`` is a table footnote,
-    refused in every format, before any output, if it is not a str or holds
-    a line break.
+    """Write ranked rows as a table, csv or json; ``unit`` is a table footnote.
+
+    Before any output, in every format, the indicator and lambda are refused
+    as ``rank_dataset`` refuses them, and ``unit`` if it is not a str or
+    holds a line break.
 
     The rows' values and relative changes, in percent too, are finite, as
     ``rank_dataset`` returns them.  The absolute and relative changes are
@@ -228,6 +237,8 @@ def render_reports(
     column's width alone, the second writes each line with the widths in
     its conversions, such as ``%-8.2f``.
     """
+    _check_indicator(indicator)
+    lam = check_lambda(lam)
     if "\r" in _text("unit", unit) or "\n" in unit:
         raise ValidationError(f"unit {unit!r} holds a line break")
     p = fmt.precision
@@ -361,11 +372,17 @@ def run_verify(target: str, lam: float, cfg: SampleConfig) -> tuple[list[dict], 
     Returns the serialized reports (each annotated with its expectation) and
     the overall verdict: every expected-pass check passed and every
     expected-fail check produced a violation above the demonstration floor.
+    The target, lambda and ``cfg``, a ``SampleConfig``, are refused before
+    any check runs.
     """
     from . import axioms  # the one command that loads numpy
 
     if _text("verify target", target) not in _VERIFY_PLAN:
         raise ValidationError(f"unknown verify target {_shown(target)}")
+    lam = check_lambda(lam)
+    # The class of an instance: perfbench's tracer swaps classes for functions.
+    if not isinstance(cfg, type(SampleConfig())):
+        raise ValidationError(f"cfg must be a SampleConfig, got {_shown(cfg)}")
     ind = _target_indicator(target, lam)
     results: list[dict] = []
     all_ok = True
@@ -476,18 +493,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="changekit", description="Change-indicator toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_lambda(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
+                   help=f"interpolation parameter (default {DEFAULT_LAMBDA}); write a negative "
+                        "exponent form with '=', as in --lambda=-1e-12")
 
-    def add_lambda(p):
-        p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
-                       help=f"interpolation parameter (default {DEFAULT_LAMBDA}); write a negative "
-                            "exponent form with '=', as in --lambda=-1e-12")
 
+def _add_rank(sub) -> None:
     p_rank = sub.add_parser("rank", help="rank a CSV of labeled observations")
     p_rank.add_argument("input", help="CSV path, or '-' for standard input")
-    add_lambda(p_rank)
+    _add_lambda(p_rank)
     p_rank.add_argument("--indicator", choices=["f", "F"], default="f")
     p_rank.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p_rank.add_argument("--precision", type=int, default=2,
@@ -496,32 +511,42 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measurement unit, shown as a footnote (table format only)")
     p_rank.set_defaults(handler=_cmd_rank)
 
+
+def _add_compare(sub) -> None:
     p_cmp = sub.add_parser("compare", help="unit-free quotient of two indicator values")
-    add_lambda(p_cmp)
+    _add_lambda(p_cmp)
     p_cmp.add_argument("--ref", required=True, help="reference pair 'past,present'")
     p_cmp.add_argument("--cmp", required=True, help="comparison pair 'past,present'")
     p_cmp.set_defaults(handler=_cmd_compare)
 
+
+def _add_calibrate(sub) -> None:
     p_cal = sub.add_parser("calibrate", help="solve for lambda equating two pairs")
     p_cal.add_argument("--ref", required=True, help="reference pair 'past,present'")
     p_cal.add_argument("--cmp", required=True, help="comparison pair 'past,present'")
     p_cal.set_defaults(handler=_cmd_calibrate)
 
+
+def _add_verify(sub) -> None:
     p_ver = sub.add_parser("verify", help="run the randomized axiom checks")
     p_ver.add_argument("--target", choices=sorted(_VERIFY_PLAN), required=True)
-    add_lambda(p_ver)
+    _add_lambda(p_ver)
     plan = SampleConfig()  # an instance: perfbench's tracer swaps classes for functions
     p_ver.add_argument("--seed", type=int, default=plan.seed,
                        help=f"sampling seed (default {plan.seed})")
     p_ver.add_argument("--samples", type=int, default=plan.count)
     p_ver.set_defaults(handler=_cmd_verify)
 
+
+def _add_elasticity(sub) -> None:
     p_el = sub.add_parser("elasticity", help="marginal, classical and generalized elasticity")
     p_el.add_argument("--fn", required=True, help="family spec, e.g. power:A=5,k=0.3")
-    add_lambda(p_el)
+    _add_lambda(p_el)
     p_el.add_argument("--x", type=float, required=True)
     p_el.set_defaults(handler=_cmd_elasticity)
 
+
+def _add_plot_data(sub) -> None:
     p_pd = sub.add_parser("plot-data", help="emit the Box-Cox curve family as CSV")
     p_pd.add_argument("--lambdas", default="0,0.2,0.5,1", help="comma-separated lambda values")
     p_pd.add_argument("--y-min", type=float, default=0.01)
@@ -529,11 +554,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_pd.add_argument("--points", type=int, default=500)
     p_pd.set_defaults(handler=_cmd_plot_data)
 
+
+#: Each subcommand's name and the function that adds its parser, in the
+#: order ``changekit --help`` lists them.
+_SUBCOMMANDS = {
+    "rank": _add_rank,
+    "compare": _add_compare,
+    "calibrate": _add_calibrate,
+    "verify": _add_verify,
+    "elasticity": _add_elasticity,
+    "plot-data": _add_plot_data,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``changekit`` parser with every subcommand, or with ``command``'s alone.
+
+    The one-command parser parses an argv that starts with ``command`` as the
+    full one does, and its usage line lists every command, as the full
+    parser's does.  Any other argv needs the full parser: its help, and its
+    errors for a missing or unknown command, name the other subcommands.
+    """
+    parser = _Parser(prog="changekit", description="Change-indicator toolkit")
+    # The metavar is the full parser's usage text for the choices.  The full
+    # parser goes without it: its errors name the action by its dest.
+    metavar = None if command is None else "{%s}" % ",".join(_SUBCOMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        _SUBCOMMANDS[name](sub)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The parser of the named command alone, when argv starts with one.
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import io
@@ -248,6 +249,21 @@ class TestRendering:
             outs[kind] = buf.getvalue()
         assert outs == {"table": "label  past  present  abs  rel  f_0.5  rank\n",
                         "csv": "label,past,present,abs,rel,indicator,rank\n", "json": "[]\n"}
+
+    @pytest.mark.parametrize("kind", ["table", "csv", "json"])
+    @pytest.mark.parametrize("indicator, lam, refusal", [
+        (5, 0.5, "indicator must be 'f' or 'F', got 5"),
+        ("log", 0.5, "indicator must be 'f' or 'F', got 'log'"),
+        ("f", "x", "lambda must be a finite real number, got 'x'"),
+        ("f", None, "lambda must be a finite real number, got None"),
+        ("f", math.nan, "lambda must be a finite real number, got nan"),
+    ])
+    def test_indicator_and_lambda_refused_before_any_output(self, kind, indicator, lam, refusal):
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as refused:
+            render_reports(self._reports(), OutputFormat(kind, 2), indicator, lam, buf)
+        assert str(refused.value) == refusal
+        assert buf.getvalue() == ""
 
     def test_precision_bounds(self):
         with pytest.raises(ValidationError):
@@ -706,6 +722,79 @@ def test_lambda_spaced_exponent_form(capsys, command):
         assert args.lam == -1e-12
 
 
+#: Argvs of every kind: the top-level help, no command, an unknown one, an
+#: option or "--" before the command, and each command's help, with valid
+#: arguments, or with a missing, mistyped, unknown or trailing argument.
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["Rank"], ["ran"], ["-h", "verify"],
+    ["--", "verify", "--target", "f"], ["--lambda", "0.5", "compare"],
+    ["rank", "-h"], ["compare", "--help"], ["calibrate", "-h"], ["verify", "-h"],
+    ["elasticity", "-h"], ["plot-data", "-h"],
+    ["rank"], ["rank", "data.csv"], ["rank", "data.csv", "--format", "json", "--precision", "15"],
+    ["rank", "data.csv", "--format", "xml"], ["rank", "data.csv", "--precision", "two"],
+    ["rank", "missing.csv"], ["rank", "data.csv", "extra"],
+    ["compare", "--ref", "10,20"], ["compare", "--ref", "10,20", "--cmp", "35,70"],
+    ["compare", "--ref", "10,20", "--cmp", "35,70", "--lambda", "x"],
+    ["calibrate"], ["calibrate", "--ref", "10,20", "--cmp", "35,70"],
+    ["verify"], ["verify", "--target", "g"], ["verify", "--target", "f", "--samples", "many"],
+    ["verify", "--target", "f", "--lambda", "-1e-12"],
+    ["verify", "--target", "F", "--lambda=-1e-12", "--samples", "50"],
+    ["verify", "--tar", "f", "--samples", "50"],
+    ["verify", "--target", "f", "--samples", "50", "--", "x"],
+    ["verify", "--target", "f", "--samples", "50", "-h"],
+    ["verify", "--target", "f", "--samples", "50", "compare"],
+    ["elasticity", "--x", "2"], ["elasticity", "--fn", "power:A=5,k=0.3", "--x", "2"],
+    ["plot-data", "--points", "3"], ["plot-data", "--points", "3", "--bogus"],
+]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: shlex.join(argv) or "no-arguments")
+def test_main_answers_as_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    # main builds the named command's parser alone; its help, usage lines and
+    # errors are those of the parser of every command, in this Python.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text(EXAMPLE_CSV)
+    got = _outcome(capsys, argv)
+    full = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert _outcome(capsys, argv) == got
+    try:
+        expected = vars(full().parse_args(argv))
+    except SystemExit:
+        capsys.readouterr()
+        return
+    if argv[0] in cli._SUBCOMMANDS:  # the argv main parses with one command's parser
+        assert vars(full(argv[0]).parse_args(argv)) == expected
+
+
+def test_main_builds_the_parser_of_the_named_command_alone(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["compare", "--ref", "10,20", "--cmp", "35,70"]) == 0
+    assert built == ["changekit", "changekit compare"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert len(built) == 7
+    capsys.readouterr()
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -764,6 +853,21 @@ class TestVerifyPlanInternals:
     def test_unknown_target(self):
         with pytest.raises(ValidationError):
             run_verify("nope", 0.5, SampleConfig(seed=1, count=10))
+
+    @pytest.mark.parametrize("lam, cfg, refusal", [
+        ("x", SampleConfig(count=10), "lambda must be a finite real number, got 'x'"),
+        (math.nan, SampleConfig(count=10), "lambda must be a finite real number, got nan"),
+        (0.5, None, "cfg must be a SampleConfig, got None"),
+        (0.5, (1, 10), "cfg must be a SampleConfig, got (1, 10)"),
+    ])
+    def test_lambda_and_cfg_refused_before_any_check(self, monkeypatch, lam, cfg, refusal):
+        def no_checks():
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(axioms, "shared_draws", no_checks)
+        with pytest.raises(ValueError) as refused:
+            run_verify("f", lam, cfg)
+        assert str(refused.value) == refusal
 
     @pytest.mark.parametrize("target, draws", [("f", 5), ("F", 5), ("rel", 3), ("abs", 3), ("log", 3)])
     def test_each_sample_array_is_drawn_once(self, monkeypatch, target, draws):
