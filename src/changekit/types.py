@@ -11,8 +11,9 @@ dataclass's equality, repr and, where frozen, hashing.
 Every argument of the package passes one of three gates here: ``_real``
 (and ``check_lambda``, its call for lambda) returns a finite float, positive
 where the domain says so, or raises the caller's error class as ``<name> must
-be a finite real|positive number, got <value>``; ``_integer`` refuses a
-non-int, and ``_text`` a non-str.
+be a finite real|positive number, got <value>`` (a bool or text too, though
+``float()`` takes them); ``_integer`` refuses a non-int, and ``_text`` a
+non-str.
 These refusals, and the range refusals elsewhere that print an argument,
 show it through ``_shown``, which prints even an int too long for ``repr``.
 """
@@ -72,16 +73,24 @@ def _shown(value) -> str:
         return f"<{type(value).__name__}>"
 
 
+#: What ``float()`` takes but ``_real`` refuses: a bool, and text.
+_NOT_REAL = (bool, str, bytes, bytearray)
+
+
 def _real(name: str, value, above: float = -inf, error: type = DomainError) -> float:
     """``value`` as a finite float greater than ``above``, which is -inf or, for a
     positive argument, 0.0; else ``error`` naming the argument."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    else:
+    if value.__class__ is float:
         if above < value < inf:
             return value
+    elif not isinstance(value, _NOT_REAL):
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if above < value < inf:
+                return value
     kind = "real" if above == -inf else "positive"
     raise error(f"{name} must be a finite {kind} number, got {_shown(value)}")
 

@@ -10,7 +10,7 @@ import pytest
 import decimal_ref
 
 from changekit import _kernels_py as kernels
-from changekit import axioms, types
+from changekit import axioms, cli, types
 from changekit.axioms import (
     NORMED_H_FRACTIONS,
     CheckReport,
@@ -493,3 +493,39 @@ class TestNormed:
     def test_lambda_zero_exact(self):
         report = check_normed(F_indicator, f_indicator, cfg(count=100, lambda_range=(0.0, 0.0)))
         assert report.max_residual == 0.0
+
+
+# -- what the checks catch: a table of mutants --------------------------------
+
+#: Scale factors c of the mutants c·f and c·F, by name.
+SCALES = {"1+2**-20": 1 + 2**-20, "1+1e-5": 1 + 1e-5, "2": 2.0}
+HOMOGENEOUS = pytest.mark.xfail(strict=True, reason=(
+    "every f identity is homogeneous, so c·f passes each; ROADMAP item 17's scale "
+    "check catches it"))
+BELOW_NORMED = pytest.mark.xfail(strict=True, reason=(
+    "normed's bound hides a small scale of F but at lambda = 0, where the bound is 0; "
+    "ROADMAP item 17's scale check catches it"))
+
+
+def scale_mutants():
+    """(target, c, lambda) at every scale and matrix lambda, marked where no
+    check catches the mutant today."""
+    for target in ("f", "F"):
+        for name, c in SCALES.items():
+            for lam in LAMBDA_MATRIX:
+                if target == "f":
+                    marks = HOMOGENEOUS
+                else:
+                    marks = () if c == 2.0 or lam == 0.0 else BELOW_NORMED
+                yield pytest.param(target, c, lam, marks=marks, id=f"({name})*{target}-lam{lam}")
+
+
+@pytest.mark.parametrize("target, c, lam", scale_mutants())
+def test_an_expected_pass_check_fails_the_scale_mutant(monkeypatch, target, c, lam):
+    # `changekit verify --target TARGET` at the default seed, with c times the
+    # family in place of the family: for F, normed compares c·F with f.
+    family = getattr(axioms, f"{target}_indicator")
+    monkeypatch.setattr(axioms, f"{target}_indicator",
+                        lambda lam: lambda xs, ys, ind=family(lam): c * ind(xs, ys))
+    reports, _ = cli.run_verify(target, lam, SampleConfig(count=2000))
+    assert any(r["expected"] == "pass" and not r["pass"] for r in reports)

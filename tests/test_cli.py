@@ -2,7 +2,6 @@ import argparse
 import csv
 import gc
 import io
-import json
 import math
 import os
 import random
@@ -621,10 +620,15 @@ class TestCommands:
         assert out == ""
         assert "at least 2 points" in err
 
-    def test_usage_error_exits_one(self, capsys):
+    # A command without its required --target, no command, and an unknown one.
+    @pytest.mark.parametrize("argv", [["verify"], [], ["bogus"]],
+                             ids=lambda argv: shlex.join(argv) or "no-arguments")
+    def test_usage_error_exits_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["verify"])  # missing required --target
-        assert exc.value.code == 1
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.startswith("usage: changekit")
 
 
 #: Inputs at the edges of `rank`'s CSV contract: file bytes (None for a path
@@ -913,11 +917,11 @@ class TestVerifyPlanInternals:
 @pytest.mark.parametrize("target, lam, samples", [
     ("F", "60", "40000"), ("F", "150", "200"), ("f", "-60", "200"),
 ])
-def test_verify_past_the_float_range_is_quiet_on_stderr(target, lam, samples):
+def test_verify_past_the_float_range_is_quiet_on_stderr(strict_json, target, lam, samples):
     # Each run overflows the kernels and fails a check.  40,000 samples span
     # several blocks of each check.  The checks evaluate under one numpy
     # error state, so a value that is not finite shows only in the report,
-    # not as a warning, under Python's default warning filter.
+    # as a JSON null, not as a warning, under Python's default warning filter.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     root = str(Path(changekit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
@@ -926,7 +930,7 @@ def test_verify_past_the_float_range_is_quiet_on_stderr(target, lam, samples):
         [sys.executable, "-m", "changekit.cli", "verify", "--target", target, f"--lambda={lam}",
          "--samples", samples], env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (2, "")
-    assert json.loads(proc.stdout)
+    assert strict_json(proc.stdout)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -2,8 +2,8 @@
 the constructors of its arguments: a finite float (or an instance) or a
 ChangekitError, never inf, NaN or a bare arithmetic or type error.
 
-Every real argument is also drawn outside its domain: not a number, not
-finite, 0 or negative; so is every integer argument: not an int, a bool, or
+Every real argument is also drawn outside its domain: not a number (a bool
+or text among them), not finite, 0 or negative; so is every integer argument: not an int, a bool, or
 past the Taylor orders.  A value that is no finite real, or no int, is
 refused by every call that takes it.  So is a text argument that is no
 str, though the command line passes only strings.
@@ -61,9 +61,10 @@ from changekit.types import SampleConfig
 SPECIAL_LAMBDAS = (0.0, 1.0, 0.5, -1.0, 2.0, 1 - 2**-52)
 
 #: Values of a real argument outside its domain: the last two only where it
-#: must be positive.  Python refuses to print an int of 5,001 digits.
-BAD_REALS = (None, "a", [1.0], math.nan, math.inf, -math.inf, 10**400, 10**5000, -(10**5000),
-             0.0, -1.0)
+#: must be positive.  Python refuses to print an int of 5,001 digits, and
+#: float() takes True, "3" and b"0.5", which are no numbers.
+BAD_REALS = (None, "a", [1.0], True, "3", b"0.5", math.nan, math.inf, -math.inf, 10**400,
+             10**5000, -(10**5000), 0.0, -1.0)
 #: Values of an integer argument outside its domain: 65 only for a Taylor order.
 BAD_INTEGERS = (2.5, True, "3", None, 65, 10**5000, -(10**5000))
 

@@ -3,6 +3,7 @@ equality, hashing, repr, immutability and every constructor refusal."""
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 from changekit.approximation import default_curve_grid, taylor_F
@@ -108,7 +109,7 @@ def test_assignment_only_where_not_frozen(cls, params, args, kwargs, other, text
 
 
 def test_positive_pair_stores_floats():
-    p = PositivePair(True, "2.5")
+    p = PositivePair(1, np.float32(2.5))
     assert (type(p.x), type(p.y), p.x, p.y) == (float, float, 1.0, 2.5)
     assert p.scaled(2) == PositivePair(2.0, 5.0)
 
@@ -175,9 +176,14 @@ def test_constructor_refusals(make, error, message):
     assert _refusal(make) == (error, message)
 
 
-#: Values that ``float()`` refuses or overflows on, each refused by name
-#: instead of with ``float()``'s own error: (constructor call, error, message).
+#: Values that ``float()`` refuses, overflows on or takes though they are no
+#: numbers (a bool, numeric text), each refused by name instead of with
+#: ``float()``'s own error or value: (constructor call, error, message).
 BAD_NUMBERS = [
+    (lambda: PositivePair(True, 2.5), ValidationError,
+     "past value must be a finite positive number, got True"),
+    (lambda: PositivePair(1, "2.5"), ValidationError,
+     "present value must be a finite positive number, got '2.5'"),
     (lambda: PositivePair(10**400, 1), ValidationError,
      f"past value must be a finite positive number, got {10**400!r}"),
     (lambda: PositivePair(None, 1), ValidationError,
@@ -193,12 +199,14 @@ BAD_NUMBERS = [
      "lambda must be a finite real number, got 'half'"),
     (lambda: eval_f(-(10**400), PositivePair(1, 2)), DomainError,
      f"lambda must be a finite real number, got {-(10**400)!r}"),
+    (lambda: eval_f(True, PositivePair(1, 2)), DomainError,
+     "lambda must be a finite real number, got True"),
 ]
 
 
 @pytest.mark.parametrize("make, error, message", BAD_NUMBERS, ids=[
-    "pair-overflow", "pair-none", "pair-text", "pair-list",
-    "lambda-overflow", "lambda-none", "lambda-text", "eval_f-overflow"])
+    "pair-bool", "pair-numeric-text", "pair-overflow", "pair-none", "pair-text", "pair-list",
+    "lambda-overflow", "lambda-none", "lambda-text", "eval_f-overflow", "eval_f-bool"])
 def test_bad_numbers_are_refused_by_name(make, error, message):
     assert _refusal(make) == (error, message)
     with pytest.raises(ValueError):  # what callers catching ValueError rely on
