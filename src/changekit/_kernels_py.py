@@ -16,11 +16,11 @@ lam = 0 and ``(y - x) / x`` at lam = 1 bit for bit.  ``F`` keeps both
 endpoints as branches: at lam = 1 the general form is 0/0, and at lam = 0
 it goes through log and expm1, which do not give back ``y - x`` exactly.
 
-``F`` is written in ``_F`` over a (log, expm1) pair: bound to ``math`` it
-is ``F_scalar``, bound to numpy it is the formula behind ``F_many``.  Its
-lam = 1 branch is one of the package's two log-ratios; the other,
-``calibration._log_ratio``, takes operands of either sign and the ends of
-the float range, and is to be merged with it.
+``F`` is written in ``_F`` over a (log, expm1, log-ratio) triple: bound to
+``math`` it is ``F_scalar``, bound to numpy it is the formula behind
+``F_many``.  Its lam = 1 branch is the package's one log-ratio,
+``log_ratio``, which ``calibration`` calls too; ``_log_ratio_many`` is the
+same formula over arrays.
 """
 import math
 
@@ -30,14 +30,46 @@ def f_scalar(lam, x, y):
     return (y - x) / x**lam
 
 
-def _F(log, expm1):
-    """F over the operands that ``log`` and ``expm1`` take: floats or arrays."""
+def log_ratio(x, y, log=math.log, log1p=math.log1p, copysign=math.copysign):
+    """ln(y / x) for positive floats x and y, within a few ulps everywhere.
+
+    It is log1p(t), signed as y - x, of t = |y - x| / min(x, y) >= 0.  t is
+    symmetric in x and y, so ``log_ratio(y, x) == -log_ratio(x, y)`` bit
+    for bit.  t is rounded at most twice, in y - x (exact where x and y are
+    within a factor of 2) and in the quotient, and log1p's condition number
+    at t >= 0 is at most 1: the error is log1p's own plus at most 2**-52
+    relative.  Where t overflows, as at (1e-300, 1e300), |ln(y / x)| > 709,
+    and ln(y) - ln(x) is as accurate.
+    """
+    d = y - x
+    t = abs(d) / (x if x < y else y)
+    if t == math.inf:
+        return log(y) - log(x)
+    return copysign(log1p(t), d)
+
+
+def _log_ratio_many(np):
+    """``log_ratio`` over numpy arrays: its fallback is taken where t overflows."""
+    def log_ratio_many(x, y):
+        d = y - x
+        with np.errstate(over="ignore"):
+            t = np.abs(d) / np.minimum(x, y)
+        far = np.isinf(t)
+        value = np.copysign(np.log1p(t), d)
+        return np.where(far, np.log(y) - np.log(x), value) if far.any() else value
+
+    return log_ratio_many
+
+
+def _F(log, expm1, log_ratio):
+    """F over the operands that ``log``, ``expm1`` and ``log_ratio`` take:
+    floats or arrays."""
     def F(lam: float, x, y):
         """(y**(1-lam) - x**(1-lam)) / (1-lam), log-ratio at lam == 1."""
         if lam == 0.0:
             return y - x
         if lam == 1.0:
-            return log(y) - log(x)
+            return log_ratio(x, y)
         # expm1 cancels the O(1) constant terms analytically, so the
         # two-branch formula stays accurate through lam -> 1 without a
         # switching threshold.  At lam > 1 a zero difference, as of a
@@ -69,8 +101,8 @@ def _many(bind):
     return many
 
 
-F_scalar = _F(math.log, math.expm1)
+F_scalar = _F(math.log, math.expm1, log_ratio)
 # f's one expression takes arrays as it stands.  The default binds the
 # function above, not what the module name holds at the first call.
 f_many = _many(lambda np, f=f_scalar: f)
-F_many = _many(lambda np: _F(np.log, np.expm1))
+F_many = _many(lambda np: _F(np.log, np.expm1, _log_ratio_many(np)))

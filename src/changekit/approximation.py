@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 
-from .core import _MIN_NORMAL, _checked, eval_F, eval_f
+from .core import _checked, eval_F, eval_f
 from .errors import DomainError, NumericalError
 from .types import PositivePair, _integer, _real, _shown, check_lambda
 
 # Coefficients beyond this order are numerically negligible or overflow-prone.
 MAX_TAYLOR_ORDER = 64
+_MIN_NORMAL = 2.0 ** -1022  # the smallest normal double; a smaller one has fewer digits
 
 
 def _order(name: str, n: int, low: int) -> int:

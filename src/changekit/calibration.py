@@ -2,9 +2,8 @@
 diagnostics that single out lambda = 1/2."""
 from __future__ import annotations
 
-import math
-
-from .core import _MIN_NORMAL, _checked, eval_f
+from ._kernels_py import log_ratio
+from .core import _checked, eval_f
 from .errors import (
     DomainError,
     EqualPastValuesError,
@@ -16,13 +15,6 @@ from .types import PositivePair, _FrozenRecord, _real, _set, check_lambda
 
 # Below this the log in the calibration denominator is numerically meaningless.
 _MIN_LOG_PAST_RATIO = 1e-12
-
-
-def _log_ratio(a: float, b: float) -> float:
-    """ln(a / b) for nonzero a and b of one sign: of the quotient while it is
-    a normal double, else ln|a| - ln|b|, where the quotient under- or overflows."""
-    q = a / b
-    return math.log(q) if _MIN_NORMAL <= q < math.inf else math.log(abs(a)) - math.log(abs(b))
 
 
 class CalibrationInput(_FrozenRecord):
@@ -38,7 +30,7 @@ class CalibrationInput(_FrozenRecord):
             raise StagnantPairError(f"reference pair ({ref.x}, {ref.y}) is stagnant")
         if cmp.x == cmp.y:
             raise StagnantPairError(f"comparison pair ({cmp.x}, {cmp.y}) is stagnant")
-        if abs(_log_ratio(cmp.x, ref.x)) < _MIN_LOG_PAST_RATIO:
+        if abs(log_ratio(ref.x, cmp.x)) < _MIN_LOG_PAST_RATIO:
             raise EqualPastValuesError(
                 f"past values {ref.x} and {cmp.x} coincide (or nearly so); "
                 "lambda is indeterminate"
@@ -58,7 +50,7 @@ def calibrate_lambda(inp: CalibrationInput) -> float:
     The closed form is re-checked against both pairs before returning.
     """
     ref, cmp = inp.reference, inp.comparison
-    lam = _log_ratio(cmp.y - cmp.x, ref.y - ref.x) / _log_ratio(cmp.x, ref.x)
+    lam = log_ratio(abs(ref.y - ref.x), abs(cmp.y - cmp.x)) / log_ratio(ref.x, cmp.x)
     f_ref = eval_f(lam, ref)
     f_cmp = eval_f(lam, cmp)
     if abs(f_ref - f_cmp) > 1e-9 * max(1.0, abs(f_ref)):

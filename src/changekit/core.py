@@ -21,8 +21,6 @@ from . import _kernels_py as kernels
 from .errors import DomainError, NumericalError, StagnantPairError
 from .types import PositivePair, _real, check_lambda
 
-_MIN_NORMAL = 2.0 ** -1022  # the smallest normal double; a smaller one has fewer digits
-
 
 def abs_change(p: PositivePair) -> float:
     """Absolute change y - x (same unit as the observations): f at lam = 0."""
@@ -35,11 +33,11 @@ def rel_change(p: PositivePair) -> float:
 
 
 def log_ratio(p: PositivePair) -> float:
-    """ln(y / x): F at lam = 1.
+    """ln(y / x): F at lam = 1, the package's one log-ratio.
 
-    The kernel evaluates it as ln(y) - ln(x), which cancels when y is near
-    x: at (1000, 1000.001) its relative error is 1.2e-10, against 2.9e-17
-    for log1p((y - x) / x).
+    The kernel evaluates it as log1p(|y - x| / min(x, y)), signed as
+    y - x, so it is within a few ulps near y = x and antisymmetric bit for
+    bit; ln(y) - ln(x) is its fallback where that quotient overflows.
     """
     return eval_F(1.0, p)
 

@@ -11,9 +11,9 @@ dataclass's equality, repr and, where frozen, hashing.
 Every argument of the package passes one of three gates here: ``_real``
 (and ``check_lambda``, its call for lambda) returns a finite float, positive
 where the domain says so, or raises the caller's error class as ``<name> must
-be a finite real|positive number, got <value>`` (a bool or text too, though
-``float()`` takes them); ``_integer`` refuses a non-int, and ``_text`` a
-non-str.
+be a finite real|positive number, got <value>`` (a bool, numpy's too, or
+text, though ``float()`` takes them); ``_integer`` refuses a non-int, and
+``_text`` a non-str.
 These refusals, and the range refusals elsewhere that print an argument,
 show it through ``_shown``, which prints even an int too long for ``repr``.
 """
@@ -75,6 +75,9 @@ def _shown(value) -> str:
 
 #: What ``float()`` takes but ``_real`` refuses: a bool, and text.
 _NOT_REAL = (bool, str, bytes, bytearray)
+#: numpy's bool (``bool_`` before numpy 2), which is no ``bool``: by its
+#: class's (module, name), so that this module imports no numpy.
+_NUMPY_BOOLS = {("numpy", "bool"), ("numpy", "bool_")}
 
 
 def _real(name: str, value, above: float = -inf, error: type = DomainError) -> float:
@@ -83,7 +86,8 @@ def _real(name: str, value, above: float = -inf, error: type = DomainError) -> f
     if value.__class__ is float:
         if above < value < inf:
             return value
-    elif not isinstance(value, _NOT_REAL):
+    elif not (isinstance(value, _NOT_REAL)
+              or (value.__class__.__module__, value.__class__.__name__) in _NUMPY_BOOLS):
         try:
             value = float(value)
         except (TypeError, ValueError, OverflowError):

@@ -232,13 +232,14 @@ class TestRemainderBound:
 
     @pytest.mark.parametrize("lam, x, y", [
         (400, 1e-3, 2e-3), (-400, 1e3, 2e3), (400, 1e3, 2e3), (3, 1e-300, 1e300),
-        (-0.5, 3e-212, 5e-212),
+        (-0.5, 3e-212, 5e-212), (-1, 1e-300, 1.3e-154),
     ])
     def test_non_finite_value_is_numerical_error(self, lam, x, y):
         # In |lam| * s * s, s = (y - x) / sqrt(xi) * q * q, q = xi**(-lam / 4):
         # q overflows in the first two and underflows to a zero bound in the
-        # third; in the fourth (y - x) / sqrt(xi) overflows.  In the last the
-        # bound is subnormal, 1.1547e-318, 3.9e-8 off its 80-digit value.
+        # third; in the fourth (y - x) / sqrt(xi) overflows.  In the fifth the
+        # bound is subnormal, 1.1547e-318, 3.9e-8 off its 80-digit value, and
+        # in the last it is 1.69e-308, in [2**-1023, 2**-1022): subnormal too.
         with pytest.raises(NumericalError, match="remainder_bound"):
             remainder_bound(lam, PositivePair(x, y))
 

@@ -95,12 +95,13 @@ class TestCalibrateLambda:
 
     def test_past_values_whose_quotient_overflows(self):
         # cmp.x / ref.x is 1e600 and the changes' quotient 1e600 too: both
-        # overflow, and each log is taken as ln(a) - ln(b).
+        # overflow, and each log-ratio is taken as ln(b) - ln(a).
         inp = CalibrationInput(PositivePair(1e-300, 2e-300), PositivePair(1e300, 2e300))
         assert calibrate_lambda(inp) == 1.0
 
     def test_past_values_whose_quotient_underflows(self):
-        # cmp.x / ref.x and the changes' quotient are 1e-600: both underflow to 0.
+        # cmp.x / ref.x and the changes' quotient are 1e-600: both underflow to
+        # 0, and their inverses, which the log-ratio takes, overflow.
         inp = CalibrationInput(PositivePair(1e300, 2e300), PositivePair(1e-300, 2e-300))
         assert calibrate_lambda(inp) == 1.0
 
@@ -118,8 +119,8 @@ class TestCalibrateLambda:
         ((1e-200, 2e-200), (1e-190, 5e-190)),
     ])
     def test_normal_quotients_keep_the_closed_form_bits(self, ref, cmp_pair):
-        # Where both quotients are normal doubles, lambda is the closed form
-        # over the quotients, bit for bit.
+        # At these pairs, whose quotients are normal doubles, lambda has the
+        # bits of the closed form over the quotients.
         ref, cmp_pair = PositivePair(*ref), PositivePair(*cmp_pair)
         closed = (math.log((cmp_pair.y - cmp_pair.x) / (ref.y - ref.x))
                   / math.log(cmp_pair.x / ref.x))
@@ -153,9 +154,12 @@ class TestSymmetricScaling:
                 assert abs(res) > 1e-6
 
     def test_invalid_constructed_pair_rejected(self):
-        # y - x + x/C <= 0 for a steep decline and large C
+        # y - x + x/C <= 0 for a steep decline and large C; at (2, 1) and
+        # C = 2 it is exactly 0, refused here and not as a pair's ValidationError.
         with pytest.raises(DomainError):
             scaled_relative_pair(PositivePair(10, 1), 100.0)
+        with pytest.raises(DomainError, match=r"^constructed pair \(1\.0, 0\.0\)"):
+            scaled_relative_pair(PositivePair(2, 1), 2.0)
         with pytest.raises(DomainError):
             symmetric_scaling_residual(0.5, PositivePair(10, 1), 100.0)
 

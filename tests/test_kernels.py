@@ -6,12 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import changekit
+import decimal_ref
 from changekit import (
     BACKEND,
     EconFunction,
@@ -50,7 +55,8 @@ def test_batch_kernels_write_the_formula_bitwise_into_out(lam):
     # Every element of out keeps the bits of the formula over the whole
     # arrays, at any length and shape, through any view.
     B = axioms.BLOCK
-    formulas = {"f_many": kernels.f_scalar, "F_many": kernels._F(np.log, np.expm1)}
+    formulas = {"f_many": kernels.f_scalar,
+                "F_many": kernels._F(np.log, np.expm1, kernels._log_ratio_many(np))}
 
     def bits(values):
         return np.asarray(values, dtype=float).view(np.int64)
@@ -178,6 +184,54 @@ def test_f_endpoints_are_the_classical_formulas_bitwise():
         assert_bitwise_or_refused(quantity_indicator, q_ref, lam, pairs)
         assert_bitwise_or_refused(lambda lam, x, h: elasticity_quotient(lam, sqrt, x, h),
                                   e_ref, lam, steps)
+
+
+#: F_1's error bound, relative to ln(y / x), with u = 2**-53.  Its main
+#: form rounds t = |y - x| / min(x, y) at most twice, 2u, which log1p's
+#: condition number (at most 1 for t >= 0) does not enlarge; log1p itself
+#: is off by at most 1.5 ulps, 3u (glibc's bound, and numpy's for its
+#: float64 log1p and log: 1 ulp from the rounded value).  Where t overflows,
+#: |ln(y / x)| > ln(2**1024) > 709 and |ln x| + |ln y| < 1.1 |ln(y / x)|, so
+#: ln(y) - ln(x) is off by at most 1.1 * 3u + u.  Either way, 5u to first
+#: order in u.
+F1_BOUND = 5 * 2.0**-53
+
+positives = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+log1p_pairs = st.one_of(
+    st.tuples(positives, positives),  # far and extreme pairs, subnormals among them
+    # near-stagnant: within a relative 1e-6, or a few ulps
+    st.builds(lambda x, t: (x, x * (1.0 + t)), positives, st.floats(-1e-6, 1e-6)),
+    st.builds(lambda x, n: (x, x + n * math.ulp(x)), positives, st.integers(-4, 4)),
+    st.tuples(st.floats(min_value=5e-324, max_value=2.0**-1022), positives),  # subnormal x
+).filter(lambda pair: 0.0 < pair[1] < math.inf)
+
+
+@given(pair=log1p_pairs)
+@example(pair=(1000.0, 1000.001))  # ln(y) - ln(x) is off by 1.2e-10 here
+@example(pair=(1e-300, 1e300))  # t overflows: the fallback
+@example(pair=(1e136, 1e-188))  # t overflows, and y / x underflows
+@example(pair=(5e-324, 1.5e-323))  # both subnormal: t = 2 exactly
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_F_at_one_is_the_log_ratio_within_its_bound(pair):
+    # Scalar and batch F_1 are ln(y / x) within F1_BOUND, and each is
+    # antisymmetric bit for bit; the batch kernel warns of no overflow of t.
+    # The two may differ in the last bit: numpy's log1p is not glibc's.
+    x, y = pair
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = decimal_ref.F(1, x, y)
+    out = np.empty(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels.F_many(1.0, np.array([x, y]), np.array([y, x]), out)
+    scalar = kernels.F_scalar(1.0, x, y)
+    for value in (scalar, float(out[0])):
+        if x == y:
+            assert value == 0.0
+        else:
+            assert abs(Decimal(value) - exact) <= Decimal(F1_BOUND) * abs(exact)
+    assert out[1] == -out[0]
+    assert kernels.F_scalar(1.0, y, x) == kernels.log_ratio(y, x) == -scalar
 
 
 @pytest.mark.parametrize("lam", [1.5, 2.0, 5.0, 20.0])

@@ -17,6 +17,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -62,9 +63,9 @@ SPECIAL_LAMBDAS = (0.0, 1.0, 0.5, -1.0, 2.0, 1 - 2**-52)
 
 #: Values of a real argument outside its domain: the last two only where it
 #: must be positive.  Python refuses to print an int of 5,001 digits, and
-#: float() takes True, "3" and b"0.5", which are no numbers.
-BAD_REALS = (None, "a", [1.0], True, "3", b"0.5", math.nan, math.inf, -math.inf, 10**400,
-             10**5000, -(10**5000), 0.0, -1.0)
+#: float() takes True, numpy's True, "3" and b"0.5", which are no numbers.
+BAD_REALS = (None, "a", [1.0], True, np.True_, "3", b"0.5", math.nan, math.inf, -math.inf,
+             10**400, 10**5000, -(10**5000), 0.0, -1.0)
 #: Values of an integer argument outside its domain: 65 only for a Taylor order.
 BAD_INTEGERS = (2.5, True, "3", None, 65, 10**5000, -(10**5000))
 
@@ -235,6 +236,12 @@ def _taylor(lam, x, y, order):
     return total
 
 
+def _log_ratio(x, y):
+    """log1p(t), signed as y - x, of t = |y - x| / min(x, y); ln(y) - ln(x) where t overflows."""
+    t = abs(y - x) / min(x, y)
+    return math.copysign(math.log1p(t), y - x) if t < math.inf else math.log(y) - math.log(x)
+
+
 class _Refused(Exception):
     """An argument or a g(x) that EconFunction.value refuses."""
 
@@ -253,7 +260,7 @@ def _references(lam, x, y, g, k):
     return {
         "abs_change": (lambda: abs_change(p), lambda: y - x),
         "rel_change": (lambda: rel_change(p), lambda: (y - x) / x),
-        "log_ratio": (lambda: log_ratio(p), lambda: math.log(y) - math.log(x)),
+        "log_ratio": (lambda: log_ratio(p), lambda: _log_ratio(x, y)),
         "marginal": (lambda: marginal(g, x), lambda: (_value(g, x), g.derivative(x))[1]),
         "generalized_elasticity": (
             lambda: generalized_elasticity(lam, g, x),
@@ -274,10 +281,11 @@ def _references(lam, x, y, g, k):
 def test_each_family_call_keeps_the_bits_of_its_classical_expression():
     # Where the expression is finite, the same bits; where it is not, or
     # raises, a refusal.  Each expression is written out as the function
-    # evaluated it before it became a gated call of its family.  Half the
-    # draws span the float range as the contract test does; the other half
-    # stay near 1, where the Taylor functions and the elasticities of the
-    # exponential family are mostly finite.
+    # evaluated it before it became a gated call of its family, and
+    # log_ratio's as the kernel's log1p form and its overflow fallback.
+    # Half the draws span the float range as the contract test does; the
+    # other half stay near 1, where the Taylor functions and the
+    # elasticities of the exponential family are mostly finite.
     rng = random.Random(20261020)
     compared = dict.fromkeys(_references(1.0, 1.0, 2.0, power_function(1, 1), 2), 0)
     for _ in range(3000):

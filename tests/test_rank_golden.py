@@ -98,7 +98,7 @@ SEEDED_SHA256 = {
     ("F", "0.5", "json", "2"):
         "fa6cacc29822952610ffc0a9a7035d05f096f5e58507a7412397aaa5cbf7cc88",
     ("F", "1", "table", "15"):
-        "10af79d6bb707ac16bafec286eed6001dd8e2f1cf6543734c5773b95bb81a428",
+        "75291c3faa31a55dd951eb3e78c581ac5beae528ae3a95066ba57e066a8a0018",
     ("F", "-1", "csv", "15"):
         "09c38941c113b0127cbf09ae286c72867ec8003daccd79810b0c976b88844c48",
     ("F", "2", "table", "2"):
@@ -106,7 +106,7 @@ SEEDED_SHA256 = {
     ("f", "0.5", "table", "0"):
         "f295c347551a09dd9f97c6ccdcdedcb9fe948d5731c2ed53fba27657e7b8f746",
     ("F", "1", "csv", "0"):
-        "38effab0a5907da58dea3fa173f1587227feee1f22378d0f458aa02f5eb93f9e",
+        "097ae1ba0a411befbf24ec7ffab7d27591c89a38df176a00076e0686bb7bceba",
     ("f", "2", "json", "0"):
         "37d82166179e3a11e25d88a6a6dfca98c0c364292ca4fbdc8f822003cfe57284",
     ("F", "0.5", "table", "7"):
