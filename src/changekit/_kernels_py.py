@@ -7,8 +7,8 @@ A batch call evaluates its whole arrays at once, so a caller that wants
 cache-sized temporaries passes slices, as the axiom checkers do.
 Non-finite results are left to the callers.
 
-numpy is not imported with this module: ``_many`` imports it on the first
-batch call, so one-pair callers (``core``, ``rank``) never load it.
+numpy is not imported with this module: ``_many`` imports it at each batch
+call, so one-pair callers (``core``, ``rank``) never load it.
 
 ``f`` needs no endpoint branch: ``x**0.0 == 1.0`` and ``x**1.0 == x`` are
 exact in IEEE arithmetic, so its one expression returns ``y - x`` at
@@ -85,17 +85,12 @@ def _many(bind):
     """The batch form of the kernel that ``bind(numpy)`` returns: its value
     over arrays, written into ``out`` (an array, a view or a buffer such as
     ``array.array``) and returned.  xs and ys broadcast to ``out``'s shape,
-    as in ``out[...] = kernel(lam, xs, ys)``.  The first call imports numpy
-    and binds the kernel; later calls reuse it."""
-    kernel = None
-
+    as in ``out[...] = kernel(lam, xs, ys)``.  Each call imports numpy and
+    binds the kernel, which costs a dict lookup and a closure or two."""
     def many(lam: float, xs, ys, out):
-        nonlocal kernel
         import numpy as np
 
-        if kernel is None:
-            kernel = bind(np)
-        np.asarray(out)[...] = kernel(lam, np.asarray(xs), np.asarray(ys))
+        np.asarray(out)[...] = bind(np)(lam, np.asarray(xs), np.asarray(ys))
         return out
 
     return many

@@ -21,9 +21,10 @@ inf or NaN (always the worst).  A block's temporaries stay in cache; the
 drawn arrays stay whole.  Residuals of the exact identities are normalized
 by max(1, |reference|): relative where the reference magnitude exceeds one,
 absolute below.  ``check_normed`` reports the ratio of |F - f| to its
-Lagrange remainder bound instead.  The checkers only ever assert the forward
-direction (a family satisfies an axiom) or exhibit a violating sample (a
-competitor fails one); no function-space search is attempted.
+Lagrange remainder bound instead, at the one lambda its config names.  The
+checkers only ever assert the forward direction (a family satisfies an
+axiom) or exhibit a violating sample (a competitor fails one); no
+function-space search is attempted.
 
 ``SampleConfig`` is defined in ``types``, which loads no numpy, so that
 the command line can build one without importing this module; it is the
@@ -308,7 +309,8 @@ def check_normed(
     f_family: Callable[[float], BatchFn],
     cfg: SampleConfig,
 ) -> CheckReport:
-    """First-order contract: |F(x, x+h) - f(x, x+h)| <= K * h**2 with shrinking h.
+    """First-order contract: |F(x, x+h) - f(x, x+h)| <= K * h**2 with shrinking h,
+    at the one lambda of ``cfg.lambda_range``, the point (lam, lam).
 
     The Lagrange remainder is |F - f| = |lam|/2 * xi**-(1+lam) * h**2 for
     some xi between x and x+h.  K = |lam| * xi**-(1+lam) at the xi that makes
@@ -316,38 +318,28 @@ def check_normed(
     The reported residual is the largest ratio |F - f| / (K * h**2);
     passing means no ratio exceeded 1.
 
-    Samples of a block that share a lambda are evaluated together: one call
-    to each family member covers them at every h-fraction.  Ratios that are
-    all zero, as at lam = 0, report no worst case; a NaN ratio, as where F
-    or f is not finite, fails as the worst case.
+    One call to each family member covers a block at every h-fraction.
+    Ratios that are all zero, as at lam = 0, report no worst case; a NaN
+    ratio, as where F or f is not finite, fails as the worst case.
     """
-    # The lambdas take the generator steps of array 0, so the xs are array 1.
-    lams = cfg.rng().uniform(*cfg.lambda_range, cfg.count)
+    lam = cfg.lambda_range[0]
+    F, f = F_family(lam), f_family(lam)
+    # The xs are array 1 of the stream, which the identity checks read as their ys.
     (xs,) = _sample(cfg, 1)
     fractions = np.array(NORMED_H_FRACTIONS)
 
     def residual(lo, b):
-        # Group the samples by lambda in one pass, without sorting (np.unique
-        # costs memory and buys nothing): one group when the lambda is fixed,
-        # one per sample when it is drawn.
-        groups: dict[float, list[int]] = {}
-        for i, lam in enumerate(b["lambda"].tolist()):
-            groups.setdefault(lam, []).append(i)
         # Rows are samples and columns h-fractions, so the worst case is the
         # first largest ratio in (sample, h-fraction) order.
-        lam_col = b["lambda"][:, None]
         h = b["x"][:, None] * fractions
         x = np.broadcast_to(b["x"][:, None], h.shape)
         y = x + h
-        b["lambda"], b["x"], b["h"] = np.broadcast_to(lam_col, h.shape), x, h
-        diff = np.empty(h.shape)
-        for lam, rows in groups.items():
-            xg, yg = x[rows], y[rows]
-            xg.flags.writeable = yg.flags.writeable = False
-            diff[rows] = np.abs(F_family(lam)(xg, yg) - f_family(lam)(xg, yg))
-        xi = np.where(lam_col >= -1.0, x, y)
-        bound = np.abs(lam_col) * h * h / xi ** (1.0 + lam_col)
+        y.flags.writeable = False
+        b["lambda"], b["x"], b["h"] = np.broadcast_to(lam, h.shape), x, h
+        diff = np.abs(F(x, y) - f(x, y))
+        bound = abs(lam) * h * h / (x if lam >= -1.0 else y) ** (1.0 + lam)
         return np.where(bound > 0.0, diff / bound, np.where(diff == 0.0, 0.0, np.inf))
 
-    report = _worst_case("normed", cfg, 1.0, residual, **{"lambda": lams, "x": xs})
+    report = _worst_case("normed", cfg, 1.0, residual,
+                         **{"lambda": np.broadcast_to(lam, cfg.count), "x": xs})
     return report if report.max_residual != 0.0 else CheckReport("normed", cfg.count, 0.0, {}, 1.0)

@@ -34,10 +34,8 @@ from operator import itemgetter
 from . import _kernels_py as kernels
 from . import core
 from .errors import ChangekitError, NumericalError, ParseError, ValidationError
-from .types import (PositivePair, SampleConfig, _FrozenRecord, _Record, _integer, _set, _shown,
-                    _text, check_lambda)
-
-DEFAULT_LAMBDA = 0.5  # the symmetric choice between absolute and relative
+from .types import (DEFAULT_LAMBDA, PositivePair, SampleConfig, _FrozenRecord, _Record, _integer,
+                    _set, _shown, _text, check_lambda)
 
 #: Rank ties: values within this relative band share a rank.  The worked
 #: five-channel example contains a tie that is exact in real arithmetic but

@@ -135,10 +135,18 @@ def _text(name: str, value, error: type = ValidationError) -> str:
     raise error(f"{name} must be a string, got {_shown(value)}")
 
 
+#: The default lambda of ``changekit verify`` and of ``SampleConfig``: the
+#: symmetric choice between absolute and relative change.
+DEFAULT_LAMBDA = 0.5
+
+
 class SampleConfig(_FrozenRecord):
     """Sampling plan for one axiom check: the generator's seed, the number
-    of samples, and the range ``check_normed`` draws lambda from.  Every
-    other sampled quantity lies in ``axioms.VALUE_RANGE``.
+    of samples, and the one lambda ``check_normed`` evaluates, as the point
+    ``lambda_range = (lam, lam)``: a pair whose ends differ is refused.
+    Pair coordinates and scale factors lie in ``axioms.VALUE_RANGE``.  The
+    point stays a pair, not one float, until ``perfbench``, which builds it
+    by this keyword, looks the signature up at run time (ROADMAP item 1).
     """
 
     __slots__ = ("seed", "count", "lambda_range")
@@ -150,7 +158,7 @@ class SampleConfig(_FrozenRecord):
         self,
         seed: int = 20260824,
         count: int = 10_000,
-        lambda_range: tuple[float, float] = (-2.0, 3.0),
+        lambda_range: tuple[float, float] = (DEFAULT_LAMBDA, DEFAULT_LAMBDA),
     ):
         if _integer("seed", seed) < 0:
             raise ValidationError(f"seed must be non-negative, got {_shown(seed)}")
@@ -163,8 +171,8 @@ class SampleConfig(_FrozenRecord):
                 f"lambda_range must be a pair, got {_shown(lambda_range)}") from None
         lo = _real("lambda_range[0]", lo, -inf, ValidationError)
         hi = _real("lambda_range[1]", hi, -inf, ValidationError)
-        if lo > hi:
-            raise ValidationError(f"lambda_range is empty: {lambda_range}")
+        if lo != hi:
+            raise ValidationError(f"lambda_range must be one point (lam, lam), got {(lo, hi)}")
         _set(self, "seed", seed)
         _set(self, "count", count)
         _set(self, "lambda_range", (lo, hi))

@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from changekit import (
     CalibrationInput,
@@ -37,6 +40,30 @@ def bisect_lambda(ref, cmp_pair, lo=-5.0, hi=5.0, iters=200):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+#: calibrate_lambda's error bound, times |lambda| + 1 / |ln(x2 / x1)|, with
+#: u = 2**-53.  lambda = ln(d2 / d1) / ln(x2 / x1) over the changes
+#: d = |y - x|, each rounded once, by at most u relative: ln(d2 / d1) is off
+#: by at most 2u absolute before its log-ratio.  Each log-ratio errs by at
+#: most 5u relative (F1_BOUND in test_kernels.py) and the quotient by u, so
+#: lambda is off by at most 11u |lambda| + 2u / |ln(x2 / x1)| to first
+#: order in u; 12u covers the higher orders.
+CALIBRATION_BOUND = Decimal(12 * 2.0**-53)
+
+
+@st.composite
+def calibration_pairs(draw):
+    """Two pairs whose changes agree under a drawn lambda, drawn as the
+    benchmark's ``calibration_stream`` draws them: past values a factor
+    e**0.1 to e**3 apart, changes 1e-4 to 0.49 of the past value."""
+    lam = draw(st.floats(-1.0, 2.0))
+    x1 = 10.0 ** draw(st.floats(-2.0, 2.0))
+    x2 = x1 * math.exp(draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.1, 3.0)))
+    d1 = draw(st.sampled_from((-1.0, 1.0))) * x1 * 10.0 ** draw(st.floats(-4.0, -0.31))
+    d2 = d1 * (x2 / x1) ** lam
+    assume(d2 > -0.5 * x2)
+    return (x1, x1 + d1), (x2, x2 + d2)
 
 
 class TestCalibrateLambda:
@@ -114,17 +141,40 @@ class TestCalibrateLambda:
                                                  r"ZeroDivisionError"):
             calibrate_lambda(inp)
 
-    @pytest.mark.parametrize("ref, cmp_pair", [
-        ((1, 2), (2, 4)), ((10, 20), (80, 135)), ((3, 2), (5, 1)), ((0.5, 0.7), (1e-3, 0.1)),
-        ((1e-200, 2e-200), (1e-190, 5e-190)),
+    # x1**lambda is subnormal in each, so eval_f(lambda, ref) is off.  The
+    # first misses by 1.6e-5 relative; the second's f values, below 1 in
+    # magnitude, differ by 1.59e-9, between the re-check's bound and twice it.
+    @pytest.mark.parametrize("ref, cmp_pair, message", [
+        ((2.5158433252107025e-285, 2.515843325210595e-285),
+         (1.0165021685206002e-264, 1.016502168507375e-264),
+         "calibrated lambda 1.120521612858324 fails its defining equation: "
+         "f(ref) = -8.533928684679134e+20 vs f(cmp) = -8.533788107157798e+20"),
+        ((1.3212574983522737e-305, 1.3212574983468742e-305),
+         (6.10670328110875e-281, 6.106703280918854e-281),
+         "calibrated lambda 1.0357329909131905 fails its defining equation: "
+         "f(ref) = -0.3203334555715338 vs f(cmp) = -0.3203334539828981"),
     ])
-    def test_normal_quotients_keep_the_closed_form_bits(self, ref, cmp_pair):
-        # At these pairs, whose quotients are normal doubles, lambda has the
-        # bits of the closed form over the quotients.
-        ref, cmp_pair = PositivePair(*ref), PositivePair(*cmp_pair)
-        closed = (math.log((cmp_pair.y - cmp_pair.x) / (ref.y - ref.x))
-                  / math.log(cmp_pair.x / ref.x))
-        assert calibrate_lambda(CalibrationInput(ref, cmp_pair)) == closed
+    def test_subnormal_power_fails_the_re_check(self, ref, cmp_pair, message):
+        with pytest.raises(NumericalError) as info:
+            calibrate_lambda(CalibrationInput(PositivePair(*ref), PositivePair(*cmp_pair)))
+        assert str(info.value) == message
+
+    @given(pairs=calibration_pairs())
+    @example(pairs=((1, 2), (2, 4)))
+    @example(pairs=((10, 20), (80, 135)))
+    @example(pairs=((3, 2), (5, 1)))
+    @example(pairs=((0.5, 0.7), (1e-3, 0.1)))
+    @example(pairs=((1e-200, 2e-200), (1e-190, 5e-190)))
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_lambda_is_the_closed_form_within_its_bound(self, pairs):
+        (x1, y1), (x2, y2) = pairs
+        lam = calibrate_lambda(CalibrationInput(PositivePair(x1, y1), PositivePair(x2, y2)))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x1, y1, x2, y2 = map(Decimal, (x1, y1, x2, y2))
+            log_past = (x2 / x1).ln()
+            exact = (abs(y2 - x2) / abs(y1 - x1)).ln() / log_past
+            assert abs(Decimal(lam) - exact) <= CALIBRATION_BOUND * (abs(exact) + 1 / abs(log_past))
 
 
 class TestSymmetricScaling:

@@ -9,7 +9,7 @@ import pytest
 from changekit.approximation import default_curve_grid, taylor_F
 from changekit.axioms import CheckReport
 from changekit.calibration import CalibrationInput
-from changekit.cli import Dataset, OutputFormat
+from changekit.cli import DEFAULT_LAMBDA, Dataset, OutputFormat
 from changekit.core import eval_f
 from changekit.elasticity import EconFunction
 from changekit.errors import (
@@ -30,9 +30,9 @@ CASES = [
     (PositivePair, [("x", P, NO), ("y", P, NO)],
      (1, 2), {"x": 1.0, "y": 2.0}, (1, 3),
      "PositivePair(x=1.0, y=2.0)"),
-    (SampleConfig, [("seed", P, 20260824), ("count", P, 10_000), ("lambda_range", P, (-2.0, 3.0))],
-     (7, 50, (0.0, 1.0)), {"seed": 7, "count": 50, "lambda_range": (0.0, 1.0)}, (7, 51, (0.0, 1.0)),
-     "SampleConfig(seed=7, count=50, lambda_range=(0.0, 1.0))"),
+    (SampleConfig, [("seed", P, 20260824), ("count", P, 10_000), ("lambda_range", P, (0.5, 0.5))],
+     (7, 50, (1.0, 1.0)), {"seed": 7, "count": 50, "lambda_range": (1.0, 1.0)}, (7, 51, (1.0, 1.0)),
+     "SampleConfig(seed=7, count=50, lambda_range=(1.0, 1.0))"),
     (CalibrationInput, [("reference", P, NO), ("comparison", P, NO)],
      (PositivePair(10, 20), PositivePair(80, 135)),
      {"reference": PositivePair(10.0, 20.0), "comparison": PositivePair(80.0, 135.0)},
@@ -123,7 +123,8 @@ def test_check_report_converts_and_decides():
 
 
 def test_default_constructors():
-    assert SampleConfig() == SampleConfig(20260824, 10_000, (-2.0, 3.0))
+    assert SampleConfig() == SampleConfig(20260824, 10_000, (0.5, 0.5))
+    assert SampleConfig().lambda_range == (DEFAULT_LAMBDA, DEFAULT_LAMBDA)
     assert OutputFormat() == OutputFormat("table", 2)
 
 
@@ -151,8 +152,8 @@ REFUSALS = [
      "past value must be a finite positive number, got -1.0"),
     (lambda: SampleConfig(seed=-1), ValidationError, "seed must be non-negative, got -1"),
     (lambda: SampleConfig(count=0), ValidationError, "sample count must be positive, got 0"),
-    (lambda: SampleConfig(lambda_range=(3.0, -2.0)), ValidationError,
-     "lambda_range is empty: (3.0, -2.0)"),
+    (lambda: SampleConfig(lambda_range=(-2.0, 3.0)), ValidationError,
+     "lambda_range must be one point (lam, lam), got (-2.0, 3.0)"),
     (lambda: CalibrationInput(PositivePair(1, 1), PositivePair(2, 3)), StagnantPairError,
      "reference pair (1.0, 1.0) is stagnant"),
     (lambda: CalibrationInput(PositivePair(1, 2), PositivePair(2, 2)), StagnantPairError,
@@ -226,6 +227,7 @@ BAD_CONFIGS = [
     ({"lambda_range": (0.0, 1.0, 2.0)}, "lambda_range must be a pair, got (0.0, 1.0, 2.0)"),
     ({"lambda_range": (None, 1.0)}, "lambda_range[0] must be a finite real number, got None"),
     ({"lambda_range": 1.0}, "lambda_range must be a pair, got 1.0"),
+    ({"lambda_range": [0, 1]}, "lambda_range must be one point (lam, lam), got (0.0, 1.0)"),
 ]
 
 
@@ -235,9 +237,9 @@ def test_sample_config_refuses_what_it_cannot_store(kwargs, message):
 
 
 def test_sample_config_stores_lambda_range_as_two_floats():
-    cfg = SampleConfig(lambda_range=[0, 1])
-    assert cfg.lambda_range == (0.0, 1.0) and type(cfg.lambda_range[0]) is float
-    assert cfg == SampleConfig(lambda_range=(0.0, 1.0)) and hash(cfg)
+    cfg = SampleConfig(lambda_range=[1, 1])
+    assert cfg.lambda_range == (1.0, 1.0) and type(cfg.lambda_range[0]) is float
+    assert cfg == SampleConfig(lambda_range=(1.0, 1.0)) and hash(cfg)
 
 
 #: An int of 5,001 digits, more than Python prints: (call, error, message).
