@@ -472,7 +472,9 @@ class TestNormed:
         report = check_normed(decimal_F, f_indicator, cfg(count=200, lambda_range=(-20.0, -20.0)))
         assert report.passed, report.to_dict()
 
-    @pytest.mark.parametrize("lam", (-20.0, -1.5, -1.0, 0.0, 1e-9, 0.25, 0.5, 1.0, 2.0, 5.0))
+    # -2.0 and -0.5 among them: lambdas where numpy's ** takes a fast path.
+    @pytest.mark.parametrize("lam", (-20.0, -2.0, -1.5, -1.0, -0.5, 0.0, 1e-9, 0.25, 0.5, 1.0,
+                                     2.0, 5.0))
     def test_batch_matches_scalar_reference(self, lam):
         c = cfg(lambda_range=(lam, lam))
         ref, gaps = reference_normed(c)
@@ -485,6 +487,33 @@ class TestNormed:
 
         assert ref.max_residual - gap(ref.worst_case) <= got.max_residual
         assert got.max_residual <= ref.max_residual + gap(got.worst_case)
+
+    @pytest.mark.parametrize("count", [1, BLOCK, BLOCK + 1])
+    def test_each_family_is_bound_once_and_called_once_per_block(self, count):
+        binds, calls = [], []
+
+        def counted(family):
+            def bind(lam):
+                binds.append(lam)
+                member = family(lam)
+                return lambda xs, ys: calls.append(np.shape(xs)) or member(xs, ys)
+            return bind
+
+        c = cfg(count=count, lambda_range=(-1.5, -1.5))
+        report = check_normed(counted(F_indicator), counted(f_indicator), c)
+        assert repr(report) == repr(check_normed(F_indicator, f_indicator, c))
+        assert binds == [-1.5, -1.5]
+        rows = [n for n, _ in calls[::2]]
+        assert calls[::2] == calls[1::2] == [(n, len(NORMED_H_FRACTIONS)) for n in rows]
+        assert rows == [min(BLOCK, count - lo) for lo in range(0, count, BLOCK)]
+
+    @pytest.mark.parametrize("lam", (-1.5, 2.0))
+    def test_worst_case_names_the_config_lambda(self, lam):
+        report = check_normed(F_indicator, f_indicator, cfg(count=300, lambda_range=(lam, lam)))
+        case = report.worst_case
+        assert list(case) == ["lambda", "x", "h"]
+        assert type(case["lambda"]) is float and case["lambda"] == lam
+        assert case["h"] in [case["x"] * frac for frac in NORMED_H_FRACTIONS]
 
     def test_lambda_zero_exact(self):
         report = check_normed(F_indicator, f_indicator, cfg(count=100, lambda_range=(0.0, 0.0)))
